@@ -43,7 +43,7 @@ DEFAULT_THRESHOLD = 0.75
 _LOSS_INCREASE_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class GbdtParams:
     trees: int = 100
     max_depth: int = 6
@@ -78,13 +78,29 @@ class RegressionTree:
         return len(self.features)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GbdtModel:
+    """A trained forest; immutable, so everything derived from it is computed once."""
+
     base_score: float
     params: GbdtParams
-    trees: list[RegressionTree] = field(default_factory=list)
+    trees: tuple[RegressionTree, ...] = ()
     #: Training log-loss after round 0 (base score) through the last round.
-    training_loss: list[float] = field(default_factory=list)
+    training_loss: tuple[float, ...] = ()
+    _flat_arrays: tuple = field(init=False, repr=False)
+    _flat_lists: tuple = field(init=False, repr=False)
+    _version: str = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "trees", tuple(self.trees))
+        object.__setattr__(self, "training_loss", tuple(self.training_loss))
+        flat = _flatten(self.trees)
+        for array in flat:
+            array.flags.writeable = False
+        object.__setattr__(self, "_flat_arrays", flat)
+        object.__setattr__(self, "_flat_lists", tuple(array.tolist() for array in flat))
+        digest = hashlib.sha256(_serialize(self)).hexdigest()[:8]
+        object.__setattr__(self, "_version", f"{MODEL_VERSION}-{digest}")
 
     def __eq__(self, other) -> bool:
         # Persisted identity: everything the model file stores.
@@ -102,13 +118,11 @@ class GbdtModel:
     @property
     def version(self) -> str:
         """Format version plus a content fingerprint; stable across save/load."""
-        digest = hashlib.sha256(_serialize(self)).hexdigest()[:8]
-        return f"{MODEL_VERSION}-{digest}"
+        return self._version
 
     def _flat(self):
-        if not hasattr(self, "_flat_cache"):
-            object.__setattr__(self, "_flat_cache", _flatten(self.trees))
-        return self._flat_cache
+        """The forest as the six parallel arrays :func:`kernels.predict_margin` takes."""
+        return self._flat_arrays
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -198,10 +212,10 @@ def train_classifier(X: np.ndarray, y: np.ndarray, params: GbdtParams | None = N
 
     p = positives / y.shape[0]
     base_score = float(np.log(p / (1.0 - p)))
-    model = GbdtModel(base_score=base_score, params=params)
 
     margins = np.full(X.shape[0], base_score, dtype=np.float64)
-    model.training_loss.append(log_loss(margins, y))
+    trees: list[RegressionTree] = []
+    losses = [log_loss(margins, y)]
     all_rows = np.arange(X.shape[0], dtype=np.int64)
 
     for _ in range(params.trees):
@@ -211,20 +225,20 @@ def train_classifier(X: np.ndarray, y: np.ndarray, params: GbdtParams | None = N
         builder = _TreeBuilder(X, g, h, params)
         builder.build(all_rows, 0)
         tree = builder.finish()
-        model.trees.append(tree)
+        trees.append(tree)
         margins += params.shrinkage * tree.values[builder.leaf_of_row]
         loss = log_loss(margins, y)
-        previous = model.training_loss[-1]
+        previous = losses[-1]
         if loss > previous + _LOSS_INCREASE_TOL:
             raise AssertionError(
                 f"training log-loss increased from {previous!r} to {loss!r} "
-                f"at round {len(model.trees)}"
+                f"at round {len(trees)}"
             )
-        model.training_loss.append(loss)
-    return model
+        losses.append(loss)
+    return GbdtModel(base_score=base_score, params=params, trees=trees, training_loss=losses)
 
 
-def _flatten(trees: list[RegressionTree]):
+def _flatten(trees: tuple[RegressionTree, ...]):
     """Concatenate trees into the parallel arrays the inference kernel wants."""
     if not trees:
         empty_i = np.zeros(0, dtype=np.int32)
@@ -269,7 +283,22 @@ def predict(model: GbdtModel, X: np.ndarray) -> np.ndarray:
 
 
 def predict_one(model: GbdtModel, x: np.ndarray) -> float:
-    return float(predict(model, np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
+    """Score of one feature row, bit-identical to :func:`predict` on that row.
+
+    A plain Python walk of the forest, since numpy's per-call overhead
+    dominates at one row.  It keeps the batch kernel's comparisons
+    (``x < threshold`` goes left) and its float64 sum in tree order.
+    """
+    row = _validate_features(np.asarray(x, dtype=np.float64).reshape(1, -1))[0].tolist()
+    features, thresholds, lefts, rights, values, roots = model._flat_lists
+    shrinkage = model.params.shrinkage
+    margin = model.base_score
+    for node in roots:
+        while features[node] >= 0:
+            node = lefts[node] if row[features[node]] < thresholds[node] else rights[node]
+        margin += shrinkage * values[node]
+    # numpy's exp, not math.exp: the two may differ in the last bit
+    return float(_stable_sigmoid(np.array([margin]))[0])
 
 
 def classify(score: float, threshold: float = DEFAULT_THRESHOLD) -> Label:

@@ -17,6 +17,7 @@ import copy
 import hashlib
 import hmac
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -282,7 +283,7 @@ def _read_int(
         report.dropped_fields.append(path)
         return 0
     if isinstance(value, float):
-        if value != int(value):
+        if not math.isfinite(value) or value != int(value):
             report.dropped_fields.append(path)
             return 0
         value = int(value)
@@ -635,6 +636,18 @@ def _parse_pe(obj: dict, report: CleaningReport) -> Optional[PeBlock]:
 # public API
 
 
+def _loads(text: str):
+    """``json.loads``; failures other than a syntax error raise :class:`NotJson`."""
+    try:
+        return json.loads(text, parse_constant=lambda _: _BAD_CONSTANT)
+    except json.JSONDecodeError:
+        raise
+    except RecursionError:
+        raise NotJson("arrays or objects nested too deeply") from None
+    except ValueError as exc:  # an integer literal longer than sys.get_int_max_str_digits()
+        raise NotJson(f"unreadable number: {exc}") from None
+
+
 def parse_log(raw: bytes | str, max_bytes: int = DEFAULT_MAX_BYTES) -> tuple[CanonicalLog, CleaningReport]:
     """Parse raw log bytes into a canonical log plus a cleaning report.
 
@@ -658,13 +671,13 @@ def parse_log(raw: bytes | str, max_bytes: int = DEFAULT_MAX_BYTES) -> tuple[Can
         raise EmptyDocument("log document is empty")
 
     try:
-        doc = json.loads(text, parse_constant=lambda _: _BAD_CONSTANT)
+        doc = _loads(text)
     except json.JSONDecodeError:
         repaired, n = _TRAILING_COMMA_RE.subn(r"\1", text)
         if n == 0:
             raise NotJson("unrecoverable JSON syntax error") from None
         try:
-            doc = json.loads(repaired, parse_constant=lambda _: _BAD_CONSTANT)
+            doc = _loads(repaired)
         except json.JSONDecodeError:
             raise NotJson("unrecoverable JSON syntax error") from None
         report.parse_repairs += n

@@ -218,6 +218,8 @@ class DetectorServer(ThreadingHTTPServer):
     daemon_threads = False
     block_on_close = True
     allow_reuse_address = True
+    # listen() backlog; socketserver's default of 5 resets simultaneous connects
+    request_queue_size = 128
 
     def __init__(self, address: tuple[str, int], service: DetectorService):
         self.service = service

@@ -7,11 +7,14 @@ pick the lowest feature index, then the lowest threshold.  Training is
 replayed tree by tree so every internal node of every tree is checked
 against the oracle on exactly the rows that node saw.
 """
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from memlog import kernels
 from memlog.errors import (
     BadMagic,
     CorruptPayload,
@@ -24,6 +27,7 @@ from memlog.errors import (
 from memlog.gbdt import (
     GbdtModel,
     GbdtParams,
+    _stable_sigmoid,
     classify,
     load_model,
     log_loss,
@@ -304,12 +308,23 @@ class TestPrediction:
         assert np.all(margins == base)
         scores = predict(model, X)
         assert scores == pytest.approx(1.0 / (1.0 + math.exp(-base)), abs=1e-15)
+        assert predict_one(model, X[0]) == scores[0]
 
     def test_predict_one_matches_batch(self, small_classifier, small_dataset):
-        X, _ = small_dataset
-        batch = predict(small_classifier, X[:20])
-        singles = [predict_one(small_classifier, row) for row in X[:20]]
-        assert batch == pytest.approx(singles, abs=0.0)
+        rng = np.random.default_rng(80)
+        X_deep = rng.normal(size=(150, 8))
+        y_deep = (X_deep[:, 0] + X_deep[:, 3] * X_deep[:, 5] + 0.5 * rng.normal(size=150) > 0)
+        deep = train_classifier(
+            X_deep, y_deep.astype(np.int64), GbdtParams(trees=50, max_depth=6, min_leaf=2)
+        )
+        for model, X in ((small_classifier, small_dataset[0][:20]), (deep, X_deep[:40])):
+            batch = predict(model, X)
+            singles = [predict_one(model, row) for row in X]
+            assert batch == pytest.approx(singles, abs=0.0)
+            oracle = _stable_sigmoid(kernels._predict_margin_scalar(
+                *model._flat(), X, model.base_score, model.params.shrinkage
+            ))
+            assert np.array(singles).tobytes() == oracle.tobytes()
 
     def test_scores_are_probabilities(self, small_classifier, small_dataset):
         X, _ = small_dataset
@@ -330,6 +345,8 @@ class TestPrediction:
         bad[1, 3] = np.nan
         with pytest.raises(NonFiniteFeature):
             predict(small_classifier, bad)
+        with pytest.raises(NonFiniteFeature):
+            predict_one(small_classifier, bad[1])
         bad[1, 3] = np.inf
         with pytest.raises(NonFiniteFeature):
             predict(small_classifier, bad)
@@ -413,6 +430,9 @@ class TestPersistence:
         loaded = load_model(str(path))
         assert loaded == trained
         assert loaded.version == trained.version
+        assert trained.version == "1-" + hashlib.sha256(path.read_bytes()).hexdigest()[:8]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trained.trees = ()
         again = tmp_path / "again.mlgb"
         save_model(loaded, str(again))
         assert again.read_bytes() == path.read_bytes()

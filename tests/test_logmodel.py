@@ -56,6 +56,12 @@ class TestParseBasics:
         with pytest.raises(NotJson):
             parse_log(b"[1,2,3]")
 
+    def test_decoder_limits_raise_not_json(self):
+        with pytest.raises(NotJson):
+            parse_log(b"[" * 100000)
+        with pytest.raises(NotJson):
+            parse_log(b'{"metadata":{"thread_count":' + b"1" * 5000 + b"}}")
+
     def test_invalid_utf8_raises(self):
         with pytest.raises(NotJson):
             parse_log(b'{"a":"\xff\xfe"}')
@@ -85,6 +91,12 @@ class TestCleaningRules:
         assert log.metadata.thread_count == 0
         assert report.dropped_fields == ["metadata.thread_count"]
         assert report.dropped_count == 1
+
+    def test_non_finite_count_dropped(self):
+        for number in (b"1e400", b"-1e400"):
+            log, report = parse_log(b'{"metadata":{"thread_count":' + number + b"}}")
+            assert log.metadata.thread_count == 0
+            assert report.dropped_fields == ["metadata.thread_count"]
 
     def test_negative_count_clamped_and_recorded(self):
         log, report = parse_log(b'{"metadata":{"thread_count":-5}}')

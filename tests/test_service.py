@@ -208,6 +208,11 @@ class TestHttp:
         assert payload["error"] == "LOG_PARSE"
         assert payload["detail"]
 
+    def test_deep_nesting_is_400(self, server):
+        status, _, payload = http("POST", url_of(server, "/v1/detect"), body=b"[" * 100000)
+        assert status == 400
+        assert payload["error"] == "LOG_PARSE"
+
     def test_empty_body_is_400(self, server):
         status, _, payload = http("POST", url_of(server, "/v1/detect"), body=b"")
         assert status == 400
