@@ -3,8 +3,9 @@
 Each test prints a ``[PASS]``/``[FAIL] criterion NN`` line; the capture
 manager is suspended around the print so the verdicts land on the real
 stderr even in a plain ``pytest -v`` run.  Tolerances and runtime budgets
-are stated inline and asserted; nothing here relaxes a bound to make a
-run green.
+are stated inline and asserted; a criterion still running when its budget
+is spent is stopped there and fails.  Nothing here relaxes a bound to make
+a run green.
 """
 import http.client
 import json
@@ -74,11 +75,28 @@ def _announce(line):
 @contextmanager
 def criterion(number, description, budget_s):
     start = time.perf_counter()
+
+    def _out_of_budget(signum, frame):
+        raise AssertionError(
+            f"criterion {number} blew its {budget_s:.0f}s budget: stopped at "
+            f"{time.perf_counter() - start:.1f}s"
+        )
+
+    # A criterion over budget has failed already; stop it there instead of
+    # letting it run on.  Needs SIGALRM, so only on POSIX in the main thread.
+    timed = hasattr(signal, "setitimer") and threading.current_thread() is threading.main_thread()
+    if timed:
+        previous = signal.signal(signal.SIGALRM, _out_of_budget)
+        signal.setitimer(signal.ITIMER_REAL, budget_s)
     try:
         yield
     except BaseException:
         _announce(f"[FAIL] criterion {number:02d}: {description}")
         raise
+    finally:
+        if timed:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
     elapsed = time.perf_counter() - start
     if elapsed > budget_s:
         _announce(f"[FAIL] criterion {number:02d}: {description}")
