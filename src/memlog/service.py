@@ -149,6 +149,9 @@ class _Handler(BaseHTTPRequestHandler):
     # headers and body are flushed as separate small writes; without
     # TCP_NODELAY, Nagle + delayed ACK stalls each response ~40ms
     disable_nagle_algorithm = True
+    # seconds a connection may sit idle or stall mid-request; without it an
+    # idle client pins a thread and keeps server_close() from returning
+    timeout = 30
     server: "DetectorServer"
 
     def log_message(self, format: str, *args) -> None:
@@ -201,6 +204,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(400, {"error": "LOG_PARSE", "detail": str(exc)})
                 return
             self._reply(200, result.to_dict())
+        except TimeoutError:
+            raise  # the client stalled mid-request: the base class drops the connection
         except Exception:
             logger.exception("detect request failed")
             self._safe_500()

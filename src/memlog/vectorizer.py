@@ -9,14 +9,13 @@ the fraction of tokens found in the vocabulary.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .embedding import EMBEDDING_DIM, EmbeddingModel
-from .errors import LengthMismatch, UnlabeledLog
+from .errors import UnlabeledLog
 from .logmodel import CanonicalLog, Label
 from .tokenizer import GROUP_COUNT, GroupedTokens, GroupId, tokenize
 
@@ -66,36 +65,3 @@ def vectorize_corpus(
         X[i] = vectorize_log(tokenize(log), model).values
         y[i] = MALICIOUS if log.label is Label.MALICIOUS else BENIGN
     return X, y
-
-
-# --------------------------------------------------------------------------
-# CSV interchange: header "label,v0..v191", one row per log
-
-
-def save_dataset_csv(path: str, X: np.ndarray, y: np.ndarray) -> None:
-    if X.shape[0] != y.shape[0]:
-        raise LengthMismatch(f"{X.shape[0]} rows vs {y.shape[0]} labels")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"v{i}" for i in range(X.shape[1])])
-        for row, label in zip(X, y):
-            name = Label.MALICIOUS.value if label == MALICIOUS else Label.BENIGN.value
-            writer.writerow([name] + [repr(float(v)) for v in row])
-
-
-def load_dataset_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "label":
-            raise LengthMismatch(f"{path} is not a vector dataset (bad header)")
-        width = len(header) - 1
-        rows = []
-        labels = []
-        for line, record in enumerate(reader, start=2):
-            if len(record) != width + 1:
-                raise LengthMismatch(f"{path}:{line}: expected {width + 1} columns, got {len(record)}")
-            labels.append(MALICIOUS if record[0] == Label.MALICIOUS.value else BENIGN)
-            rows.append([np.float32(float(v)) for v in record[1:]])
-    X = np.asarray(rows, dtype=np.float32).reshape(len(rows), width)
-    return X, np.asarray(labels, dtype=np.int64)

@@ -1,7 +1,9 @@
 """Schema parsing, cleaning rules, canonical serialization, anonymization."""
 from __future__ import annotations
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,24 @@ from hypothesis import strategies as st
 
 from memlog.errors import EmptyDocument, NotJson, OversizeLog
 from memlog.logmodel import (
+    Anonymized,
     Arch,
     CanonicalLog,
+    EmbeddedFile,
+    IllegalAccess,
+    Injector,
     IntegrityLevel,
     Label,
+    Metadata,
+    ModuleEntry,
+    ParentProcess,
+    PeBlock,
+    PeType,
+    PrivilegeLevel,
+    RegistryAttempt,
+    ResourceEntry,
+    Runtime,
+    SectionInfo,
     anonymize,
     log_to_dict,
     parse_log,
@@ -216,6 +232,62 @@ class TestSerialization:
         assert data["label"] == "malicious"
         assert data["metadata"]["integrity_level"] == "low"
 
+    def test_every_field_round_trips(self):
+        resource = ResourceEntry(path="c:\\data.dat", size=10, hash="ab", created=1, modified=2)
+        log = CanonicalLog(
+            label=Label.MALICIOUS,
+            anonymized=Anonymized("alice", "corp", "ws-1", "10.0.0.1", "sn-1"),
+            metadata=Metadata(
+                timestamp=1, os_name="windows", os_build="17763", exe_path="c:\\app.exe",
+                exe_name="app.exe", exe_hash="cd", file_created=2, file_modified=3,
+                referral_url="https://example.net", user_login_time=4, thread_count=5,
+                integrity_level=IntegrityLevel.HIGH, exe_arch=Arch.X64, work_cycles=6,
+                kernel_time_ms=7, process_id=8, thread_id=9,
+                privilege_level=PrivilegeLevel.ADMINISTRATOR, timezone="utc+01",
+            ),
+            runtime=Runtime(
+                base_address="0x400000", command_line="app.exe /q", registers={"eax": "0x1000"},
+                register_snippets={"eip": b"\x90\xcc"}, eflags="0x246", signature="sig",
+                loaded_resources=[resource], vmem_free=11, vmem_used=12,
+                hklm_run_entries=["hklm\\run\\a"], dep_enabled=True,
+                illegal_accesses=[IllegalAccess(address="0x10", data=b"\xcc\x90")],
+                import_table_hash="ef", injector=Injector(pid=13, ppid=14, hash="01", path="c:\\inj.exe"),
+                auto_elevate=True,
+                loaded_modules=[ModuleEntry(base="0x10000", end="0x20000", size=65536, link_meta="static", path="c:\\m.dll")],
+                opened_resources=[resource],
+                parent_process=ParentProcess(pid=15, path="c:\\cmd.exe", hash="23", command_line="cmd",
+                                             integrity_level=IntegrityLevel.MEDIUM),
+                process_blocks=["block"], stack_snapshot=b"\x00\xff", stack_trace=["m.dll+0x10"],
+                embedded_files=[EmbeddedFile(magic_type="pe", offset=16)], found_urls=["https://example.org"],
+                found_ips=["10.0.0.2"], scheduled_tasks=["\\tasks\\t"],
+                registry_attempts=[RegistryAttempt(key="hklm\\x", result="ok")],
+            ),
+            pe=PeBlock(
+                pe_type=PeType.PE32PLUS, section_count=1, import_count=2, export_count=3,
+                characteristics=4, compile_timestamp=5, signed=True, arch=Arch.X64, created=6,
+                modified=7, entry_point_rva=8, file_size=9, entropy_bits=6.5, pdb_path="a.pdb",
+                export_module_name="a.dll", import_names=["CreateFileW"], export_names=["Run"],
+                sections=[SectionInfo(name=".text", virtual_size=10, raw_size=11, characteristics=12)],
+            ),
+        )
+
+        def assert_no_defaults(block, path):
+            for f in dataclasses.fields(block):
+                value = getattr(block, f.name)
+                default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+                assert value != default, f"{path}.{f.name} is left at its default"
+                for item in value if isinstance(value, list) else [value]:
+                    if dataclasses.is_dataclass(item):
+                        assert_no_defaults(item, f"{path}.{f.name}")
+
+        assert_no_defaults(log, "log")
+        blob = serialize_log(log)
+        assert json.loads(blob)["runtime"]["illegal_accesses"] == [{"address": "0x10", "bytes": "cc90"}]
+        relog, report = parse_log(blob)
+        assert report.empty
+        assert relog == log
+        assert serialize_log(relog) == blob
+
     def test_corpus_round_trip_property(self):
         logs = generate_corpus(GenSpec(n_malicious=10, n_benign=10, overlap=0.3, seed=3))
         for log in logs:
@@ -224,6 +296,29 @@ class TestSerialization:
             assert report.empty
             assert relog == log
             assert serialize_log(relog) == blob
+
+
+class TestSchemaDoc:
+    DOC = Path(__file__).resolve().parent.parent / "docs" / "log-schema.md"
+
+    def test_doc_tables_list_every_key(self):
+        # key column of each "## <section>" table in the schema document
+        documented: dict[str, list[str]] = {}
+        section = None
+        for line in self.DOC.read_text(encoding="utf-8").splitlines():
+            if line.startswith("## "):
+                section = line[3:].strip("` ")
+            elif line.startswith("| `"):
+                documented.setdefault(section, []).append(line.split("|")[1].strip(" `"))
+        data = log_to_dict(CanonicalLog(pe=PeBlock()))
+        for section, block in (
+            ("Top level", data),
+            ("anonymized", data["anonymized"]),
+            ("metadata", data["metadata"]),
+            ("runtime", data["runtime"]),
+            ("pe", data["pe"]),
+        ):
+            assert sorted(documented[section]) == sorted(block), section
 
 
 class TestAnonymize:

@@ -1,7 +1,9 @@
 """Detection service: scoring parity, wire protocol, and robustness."""
 import hashlib
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -14,6 +16,7 @@ from memlog.gbdt import classify, load_model, predict_one
 from memlog.logmodel import DEFAULT_MAX_BYTES, Label, parse_log, serialize_log
 from memlog.service import (
     DetectorService,
+    _Handler,
     load_detector,
     make_server,
     serve_until_signal,
@@ -293,3 +296,34 @@ class TestServerLifecycle:
         srv.server_close()
         thread.join(timeout=10)
         assert not thread.is_alive()
+
+    def test_idle_connection_does_not_block_close(self, detector, monkeypatch):
+        assert _Handler.timeout is not None
+        monkeypatch.setattr(_Handler, "timeout", 0.5)  # shortened to keep the test fast
+        srv = make_server(detector, "127.0.0.1", 0)
+        thread = threading.Thread(target=srv.serve_forever)
+        thread.start()
+        idle = socket.create_connection(srv.server_address[:2])
+        try:
+            # wait until the server has accepted the connection
+            deadline = time.monotonic() + 5
+            while not any("process_request_thread" in t.name for t in threading.enumerate()):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            srv.shutdown()
+            closer = threading.Thread(target=srv.server_close)
+            closer.start()
+            closer.join(timeout=5)
+            assert not closer.is_alive()
+        finally:
+            idle.close()
+            srv.shutdown()
+            srv.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_stalled_body_is_dropped_without_reply(self, server, monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        with socket.create_connection(server.server_address[:2], timeout=10) as sock:
+            sock.sendall(b"POST /v1/detect HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{}")
+            assert sock.recv(65536) == b""

@@ -1,17 +1,15 @@
-"""Mean pooling into 192-dim log vectors plus CSV interchange."""
+"""Mean pooling into 192-dim log vectors."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
 from memlog.embedding import EmbeddingModel, Vocabulary
-from memlog.errors import LengthMismatch, UnlabeledLog
+from memlog.errors import UnlabeledLog
 from memlog.logmodel import CanonicalLog, Label
 from memlog.tokenizer import GroupId, GroupedTokens, tokenize
 from memlog.vectorizer import (
     LOG_VECTOR_DIM,
-    load_dataset_csv,
-    save_dataset_csv,
     vectorize_corpus,
     vectorize_log,
 )
@@ -114,26 +112,3 @@ class TestVectorizeCorpus:
         model = toy_model({"a": unit(0)})
         with pytest.raises(UnlabeledLog):
             vectorize_corpus([CanonicalLog()], model)
-
-
-class TestCsvInterchange:
-    def test_round_trip_exact(self, tmp_path, small_dataset):
-        X, y = small_dataset
-        path = tmp_path / "vectors.csv"
-        save_dataset_csv(str(path), X, y)
-        X2, y2 = load_dataset_csv(str(path))
-        assert np.array_equal(X, X2)
-        assert np.array_equal(y, y2)
-        header = path.read_text().splitlines()[0]
-        assert header.startswith("label,v0,") and header.endswith(",v191")
-
-    def test_length_mismatch(self, tmp_path):
-        with pytest.raises(LengthMismatch):
-            save_dataset_csv(str(tmp_path / "x.csv"), np.zeros((3, 192), np.float32), np.zeros(2, np.int64))
-
-    def test_malformed_row_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        header = "label," + ",".join(f"v{i}" for i in range(192))
-        path.write_text(header + "\nmalicious,1.0,2.0\n")
-        with pytest.raises(LengthMismatch):
-            load_dataset_csv(str(path))
