@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Benchmark the native kernels against their pure-numpy fallbacks.
+"""Benchmark the native training kernels against their pure-numpy fallbacks.
 
 Builds workloads through the real pipeline (synthetic corpus, trained
-forest), checks that the implementations agree (native split search and
-inference exactly with numpy, the native skip-gram epoch exactly with the
-scalar Python reference on the first sentences), then reports best-of-N
-wall times.  Run with MEMLOG_NATIVE=0 to time the fallback path alone.
+embeddings), checks that the implementations agree exactly (the skip-gram
+epoch against the scalar Python reference on the first sentences and
+between backends on the whole corpus, split search between backends on
+one root and on every node of a trained forest), then reports best-of-N
+wall times.  Without a C compiler on PATH only the fallbacks are timed.
 """
 import argparse
 import time
@@ -58,6 +59,13 @@ def build_workload(n_logs, seed):
     return corpus, grouped, vocab, ids, offsets
 
 
+def epoch_result(fn, ids, offsets, vin0, vout0, args):
+    """Loss and final matrices, as bytes, of one epoch from fresh copies."""
+    vin, vout = vin0.copy(), vout0.copy()
+    loss = fn(ids, offsets, vin, vout, *args)
+    return loss, vin.tobytes(), vout.tobytes()
+
+
 def bench_sgns(vocab, ids, offsets, hp, repeats):
     rng = np.random.default_rng(11)
     vin0 = ((rng.random((len(vocab), 32), dtype=np.float32)) - 0.5) / 32
@@ -72,26 +80,26 @@ def bench_sgns(vocab, ids, offsets, hp, repeats):
         # fresh matrices each call: the epoch mutates them in place
         return lambda: fn(ids, offsets, vin0.copy(), vout0.copy(), *args)
 
-    numpy_s = best_of(run(kernels._sgns_epoch_numpy), repeats)
-    if not NATIVE:
-        report("sgns_epoch", f"vocab={len(vocab)} pairs={pairs}", numpy_s, None)
-        return
     # exact against the scalar reference on the first sentences (the
     # interpreted loops are too slow for the whole corpus)
     head = offsets[: SCALAR_SENTENCES + 1]
-    results = []
-    for fn in (kernels._sgns_epoch_native, kernels._sgns_epoch_scalar):
-        vin, vout = vin0.copy(), vout0.copy()
-        results.append((fn(ids, head, vin, vout, *args), vin, vout))
-    (loss_c, vin_c, vout_c), (loss_p, vin_p, vout_p) = results
-    assert loss_c == loss_p and np.array_equal(vin_c, vin_p) and np.array_equal(vout_c, vout_p)
-    # numpy orders its in-place updates differently; losses agree only
-    # approximately
-    loss_nt = kernels._sgns_epoch_native(ids, offsets, vin0.copy(), vout0.copy(), *args)
-    loss_np = kernels._sgns_epoch_numpy(ids, offsets, vin0.copy(), vout0.copy(), *args)
-    assert np.isclose(loss_nt, loss_np, rtol=1e-5), (loss_nt, loss_np)
+    reference = epoch_result(kernels._sgns_epoch_scalar, ids, head, vin0, vout0, args)
+    checked = [kernels._sgns_epoch_numpy]
+    if NATIVE:
+        checked.append(kernels._sgns_epoch_native)
+    for fn in checked:
+        assert epoch_result(fn, ids, head, vin0, vout0, args) == reference, fn.__name__
+
+    numpy_s = best_of(run(kernels._sgns_epoch_numpy), repeats)
+    detail = f"vocab={len(vocab)} pairs={pairs}"
+    if not NATIVE:
+        report("sgns_epoch", detail, numpy_s, None)
+        return
+    assert epoch_result(kernels._sgns_epoch_native, ids, offsets, vin0, vout0, args) == (
+        epoch_result(kernels._sgns_epoch_numpy, ids, offsets, vin0, vout0, args)
+    )
     native_s = best_of(run(kernels._sgns_epoch_native), repeats)
-    report("sgns_epoch", f"vocab={len(vocab)} pairs={pairs}", numpy_s, native_s)
+    report("sgns_epoch", detail, numpy_s, native_s)
 
 
 def bench_split(X, y, repeats):
@@ -111,20 +119,26 @@ def bench_split(X, y, repeats):
     report("best_split", detail, numpy_s, native_s)
 
 
-def bench_predict(model, X, repeats):
-    flat = model._flat()
-    args = (*flat, X, model.base_score, model.params.shrinkage)
+def bench_forest(X, y, trees, repeats):
+    params = GbdtParams(trees=trees)
 
-    numpy_s = best_of(lambda: kernels._predict_margin_numpy(*args), repeats)
-    detail = f"trees={len(model.trees)} rows={X.shape[0]}"
+    def fit_with(split):
+        # gbdt looks the kernel up on the module at call time
+        bound = kernels.best_split
+        kernels.best_split = split
+        try:
+            return train_classifier(X, y, params)
+        finally:
+            kernels.best_split = bound
+
+    numpy_s = best_of(lambda: fit_with(kernels._best_split_numpy), repeats)
+    detail = f"trees={trees} rows={X.shape[0]}"
     if not NATIVE:
-        report("predict_margin", detail, numpy_s, None)
+        report("train_classifier", detail, numpy_s, None)
         return
-    assert np.array_equal(
-        kernels._predict_margin_native(*args), kernels._predict_margin_numpy(*args)
-    )
-    native_s = best_of(lambda: kernels._predict_margin_native(*args), repeats)
-    report("predict_margin", detail, numpy_s, native_s)
+    assert fit_with(kernels._best_split_native) == fit_with(kernels._best_split_numpy)
+    native_s = best_of(lambda: fit_with(kernels._best_split_native), repeats)
+    report("train_classifier", detail, numpy_s, native_s)
 
 
 def main():
@@ -146,8 +160,7 @@ def main():
     X, y = vectorize_corpus(corpus, embeddings)
     bench_split(X, y, args.repeats)
 
-    model = train_classifier(X, y, GbdtParams(trees=args.trees))
-    bench_predict(model, X, args.repeats)
+    bench_forest(X, y, args.trees, args.repeats)
 
 
 if __name__ == "__main__":

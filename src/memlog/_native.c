@@ -1,14 +1,13 @@
-/* Compiled backend for memlog.kernels.
+/* Compiled training kernels for memlog.kernels.
  *
  * Each function is a line-for-line port of the Python reference named in
- * its comment (kernels._sgns_epoch_scalar, kernels._best_split_scalar,
- * kernels._predict_margin_scalar), with the same operand types and
- * evaluation order.  Built without fast-math and with -ffp-contract=off,
- * so no operation is fused or reordered and the results are bit-identical
- * to the references.  The Python wrappers in kernels.py check every array
- * (dtype, layout, shape, index ranges) before calling; nothing here
- * re-checks them.  Functions return 0 on success and -1 when a work
- * buffer cannot be allocated (or, for inference, a tree has a cycle).
+ * its comment (kernels._sgns_epoch_scalar, kernels._best_split_scalar),
+ * with the same operand types and evaluation order.  Built without
+ * fast-math and with -ffp-contract=off, so no operation is fused or
+ * reordered and the results are bit-identical to the references.  The
+ * Python wrappers in kernels.py check every array (dtype, layout, shape,
+ * index ranges) before calling; nothing here re-checks them.  Functions
+ * return 0 on success and -1 when a work buffer cannot be allocated.
  */
 #include <math.h>
 #include <stdint.h>
@@ -248,36 +247,4 @@ done:
     free(tmp);
     free(feature_best);
     return status;
-}
-
-/* ------------------------------------------------------------------------
- * boosted-tree inference: kernels._predict_margin_scalar
- *
- * A path through an acyclic forest visits fewer than n_nodes nodes; a
- * longer walk means a cycle, reported as -1 instead of looping forever.
- */
-
-int memlog_predict_margin(const int32_t *features, const double *thresholds,
-                          const int32_t *lefts, const int32_t *rights, const double *values,
-                          int64_t n_nodes, const int32_t *roots, int64_t n_trees,
-                          const double *X, int64_t n, int64_t n_cols,
-                          double base, double shrinkage, double *out)
-{
-    for (int64_t i = 0; i < n; i++) {
-        double margin = base;
-        for (int64_t t = 0; t < n_trees; t++) {
-            int64_t node = roots[t], steps = 0;
-            while (features[node] >= 0) {
-                if (++steps > n_nodes)
-                    return -1;
-                if (X[i * n_cols + features[node]] < thresholds[node])
-                    node = lefts[node];
-                else
-                    node = rights[node];
-            }
-            margin += shrinkage * values[node];
-        }
-        out[i] = margin;
-    }
-    return 0;
 }

@@ -29,7 +29,6 @@ from .errors import (
     UnknownToken,
     VersionMismatch,
     VocabMismatch,
-    ZeroVector,
 )
 from .tokenizer import GroupedTokens
 
@@ -207,45 +206,6 @@ def train_embeddings(
             )
 
     return EmbeddingModel(vocab, vin, vout, EMBEDDING_DIM, hp)
-
-
-# --------------------------------------------------------------------------
-# similarity
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVector("cosine similarity of a zero vector is undefined")
-    return float(np.dot(a, b) / (na * nb))
-
-
-def most_similar(model: EmbeddingModel, token: str, k: int) -> list[tuple[str, float]]:
-    """Top-k nearest tokens by cosine over input vectors, descending;
-    equal similarities order lexicographically."""
-    if token not in model.vocab:
-        raise UnknownToken(token)
-    if not 1 <= k < len(model.vocab):
-        raise ValueError(f"k must be in [1, {len(model.vocab) - 1}], got {k}")
-    query_id = model.vocab.index[token]
-    matrix = model.input_vectors.astype(np.float64)
-    query = matrix[query_id]
-    qn = float(np.linalg.norm(query))
-    if qn == 0.0:
-        raise ZeroVector(f"vector for {token!r} has zero norm")
-    norms = np.linalg.norm(matrix, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sims = (matrix @ query) / (norms * qn)
-    sims[norms == 0.0] = -np.inf
-    sims[query_id] = -np.inf
-    ranked = sorted(
-        ((model.vocab.tokens[i], float(sims[i])) for i in range(len(sims)) if i != query_id),
-        key=lambda item: (-item[1], item[0]),
-    )
-    return ranked[:k]
 
 
 # --------------------------------------------------------------------------

@@ -68,10 +68,6 @@ class VocabMismatch(MemlogError):
     """Vocabulary does not match the embedding matrices."""
 
 
-class ZeroVector(MemlogError):
-    """Cosine similarity of a zero-norm vector is undefined."""
-
-
 # --- binary model files ----------------------------------------------------
 
 class BadMagic(MemlogError):

@@ -87,18 +87,14 @@ class GbdtModel:
     trees: tuple[RegressionTree, ...] = ()
     #: Training log-loss after round 0 (base score) through the last round.
     training_loss: tuple[float, ...] = ()
-    _flat_arrays: tuple = field(init=False, repr=False)
-    _flat_lists: tuple = field(init=False, repr=False)
+    #: The forest as the parallel node lists :func:`kernels.predict_margin` walks.
+    _forest: tuple = field(init=False, repr=False)
     _version: str = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "trees", tuple(self.trees))
         object.__setattr__(self, "training_loss", tuple(self.training_loss))
-        flat = _flatten(self.trees)
-        for array in flat:
-            array.flags.writeable = False
-        object.__setattr__(self, "_flat_arrays", flat)
-        object.__setattr__(self, "_flat_lists", tuple(array.tolist() for array in flat))
+        object.__setattr__(self, "_forest", _flatten(self.trees))
         digest = hashlib.sha256(_serialize(self)).hexdigest()[:8]
         object.__setattr__(self, "_version", f"{MODEL_VERSION}-{digest}")
 
@@ -119,10 +115,6 @@ class GbdtModel:
     def version(self) -> str:
         """Format version plus a content fingerprint; stable across save/load."""
         return self._version
-
-    def _flat(self):
-        """The forest as the six parallel arrays :func:`kernels.predict_margin` takes."""
-        return self._flat_arrays
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -238,43 +230,26 @@ def train_classifier(X: np.ndarray, y: np.ndarray, params: GbdtParams | None = N
     return GbdtModel(base_score=base_score, params=params, trees=trees, training_loss=losses)
 
 
-def _flatten(trees: tuple[RegressionTree, ...]):
-    """Concatenate trees into the parallel arrays the inference kernel wants."""
-    if not trees:
-        empty_i = np.zeros(0, dtype=np.int32)
-        return empty_i, np.zeros(0), empty_i, empty_i, np.zeros(0), empty_i
-    roots = []
-    offset = 0
-    features, thresholds, lefts, rights, values = [], [], [], [], []
+def _flatten(trees: tuple[RegressionTree, ...]) -> tuple[list, ...]:
+    """Concatenate trees into parallel node lists, children offset to match."""
+    features, thresholds, lefts, rights, values, roots = [], [], [], [], [], []
     for tree in trees:
+        offset = len(features)
         roots.append(offset)
-        features.append(tree.features)
-        thresholds.append(tree.thresholds)
-        shifted_l = tree.lefts.astype(np.int64) + offset
-        shifted_r = tree.rights.astype(np.int64) + offset
-        lefts.append(np.where(tree.lefts < 0, -1, shifted_l).astype(np.int32))
-        rights.append(np.where(tree.rights < 0, -1, shifted_r).astype(np.int32))
-        values.append(tree.values)
-        offset += tree.node_count
-    return (
-        np.concatenate(features),
-        np.concatenate(thresholds),
-        np.concatenate(lefts),
-        np.concatenate(rights),
-        np.concatenate(values),
-        np.asarray(roots, dtype=np.int32),
-    )
+        features += tree.features.tolist()
+        thresholds += tree.thresholds.tolist()
+        lefts += [child + offset if child >= 0 else -1 for child in tree.lefts.tolist()]
+        rights += [child + offset if child >= 0 else -1 for child in tree.rights.tolist()]
+        values += tree.values.tolist()
+    return features, thresholds, lefts, rights, values, roots
 
 
 def predict_margin(model: GbdtModel, X: np.ndarray) -> np.ndarray:
-    X = _validate_features(X)
-    features, thresholds, lefts, rights, values, roots = model._flat()
-    if roots.size == 0:
-        return np.full(X.shape[0], model.base_score, dtype=np.float64)
-    return kernels.predict_margin(
-        features, thresholds, lefts, rights, values, roots, X,
-        model.base_score, model.params.shrinkage,
+    rows = _validate_features(X).tolist()
+    margins = kernels.predict_margin(
+        *model._forest, rows, model.base_score, model.params.shrinkage
     )
+    return np.array(margins, dtype=np.float64)
 
 
 def predict(model: GbdtModel, X: np.ndarray) -> np.ndarray:
@@ -283,22 +258,8 @@ def predict(model: GbdtModel, X: np.ndarray) -> np.ndarray:
 
 
 def predict_one(model: GbdtModel, x: np.ndarray) -> float:
-    """Score of one feature row, bit-identical to :func:`predict` on that row.
-
-    A plain Python walk of the forest, since numpy's per-call overhead
-    dominates at one row.  It keeps the batch kernel's comparisons
-    (``x < threshold`` goes left) and its float64 sum in tree order.
-    """
-    row = _validate_features(np.asarray(x, dtype=np.float64).reshape(1, -1))[0].tolist()
-    features, thresholds, lefts, rights, values, roots = model._flat_lists
-    shrinkage = model.params.shrinkage
-    margin = model.base_score
-    for node in roots:
-        while features[node] >= 0:
-            node = lefts[node] if row[features[node]] < thresholds[node] else rights[node]
-        margin += shrinkage * values[node]
-    # numpy's exp, not math.exp: the two may differ in the last bit
-    return float(_stable_sigmoid(np.array([margin]))[0])
+    """Score of one feature row: :func:`predict` on a one-row matrix."""
+    return float(predict(model, np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
 
 
 def classify(score: float, threshold: float = DEFAULT_THRESHOLD) -> Label:
@@ -381,8 +342,9 @@ def load_model(path: str) -> GbdtModel:
         for i in range(node_count):
             f, thr, le, ri, val = _NODE.unpack_from(blob, pos)
             pos += _NODE.size
-            if f >= 0 and not (0 <= le < node_count and 0 <= ri < node_count):
-                raise CorruptPayload(f"tree {t} node {i} has out-of-range children")
+            # preorder puts every child after its parent, which rules out cycles
+            if f >= 0 and not (i < le < node_count and i < ri < node_count):
+                raise CorruptPayload(f"tree {t} node {i} has a child out of range or not after it")
             features[i], thresholds[i], lefts[i], rights[i], values[i] = f, thr, le, ri, val
         trees.append(RegressionTree(features, thresholds, lefts, rights, values))
     if pos != len(blob):

@@ -1,6 +1,7 @@
 """Hot numeric kernels: skip-gram SGD, boosted-tree split search, tree inference.
 
-Each kernel has three implementations:
+The two training kernels, ``sgns_epoch`` and ``best_split``, each have
+three implementations:
 
 - ``_<kernel>_scalar``: a plain scalar-loop Python reference, the oracle
   the tests compare the others against;
@@ -8,25 +9,21 @@ Each kernel has three implementations:
   through ``ctypes``;
 - ``_<kernel>_numpy``: a vectorized pure-numpy fallback.
 
-``BACKEND`` is ``"native"`` when ``MEMLOG_NATIVE`` is not ``0`` and a C
-compiler (``cc`` or ``gcc``) is on ``PATH``; otherwise it is ``"numpy"``.
-Both are read once, at import, so a process never changes backend partway
-through; the public names (``sgns_epoch``, ``best_split``,
-``predict_margin``) bind to the selected backend.  The library is compiled
-on the first call of a native kernel, not at import, with ``-O2
--ffp-contract=off`` (no fast-math), into ``$XDG_CACHE_HOME/memlog``
-(default ``~/.cache/memlog``) under a file name keyed by the SHA-256 of
-the source, the flags and the machine; the compiler writes a temporary
-file that is then renamed into place.  A compiler that fails raises
-:class:`RuntimeError`; ``MEMLOG_NATIVE=0`` selects the fallback.
+All three are bit-identical: same operand types, same accumulation order,
+no fused or reordered arithmetic, and all randomness is drawn outside the
+kernel.  So the backend changes only the speed of training, never the
+model files it writes.  ``BACKEND`` is ``"native"`` when a C compiler
+(``cc`` or ``gcc``) is on ``PATH`` at import and ``"numpy"`` otherwise,
+and the public names bind to it.  The library is compiled on the first
+call of a native kernel, not at import, with ``-O2 -ffp-contract=off``
+(no fast-math), into ``$XDG_CACHE_HOME/memlog`` (default
+``~/.cache/memlog``) under a file name keyed by the SHA-256 of the source,
+the flags and the machine; the compiler writes a temporary file that is
+then renamed into place.  A compiler that fails raises
+:class:`RuntimeError`.
 
-The native kernels are bit-identical to the scalar references: same
-operand types, same evaluation order, no fused or reordered arithmetic.
-The split-search and inference fallbacks accumulate in the same order, so
-trained trees and predicted margins are identical on every backend.  The
-numpy skip-gram epoch orders its float32 updates differently and agrees
-with the reference only to float32 noise; each backend is deterministic,
-because all randomness is drawn outside the kernel.
+Tree inference, ``predict_margin``, is one plain Python walk for every
+caller; scoring never builds or loads the library.
 """
 from __future__ import annotations
 
@@ -82,7 +79,8 @@ def _sgns_epoch_numpy(ids, offsets, vin, vout, negatives, window, lr0, lr_floor,
                 v = vin[center]
                 grad_v = np.zeros_like(v)
 
-                score = float(np.dot(vout[context], v))
+                # float64 running sum of float32 products, as in the reference
+                score = float(np.add.accumulate((vout[context] * v).astype(np.float64))[-1])
                 # sigmoid and softplus in overflow-safe form
                 if score >= 0.0:
                     sig = 1.0 / (1.0 + math.exp(-score))
@@ -99,7 +97,7 @@ def _sgns_epoch_numpy(ids, offsets, vin, vout, negatives, window, lr0, lr_floor,
                     target = negatives[pair, n]
                     if target == context:
                         continue
-                    score = float(np.dot(vout[target], v))
+                    score = float(np.add.accumulate((vout[target] * v).astype(np.float64))[-1])
                     if score >= 0.0:
                         e = math.exp(-score)
                         sig = 1.0 / (1.0 + e)
@@ -324,45 +322,26 @@ def _best_split_numpy(X, g, h, lam, min_leaf):
 # --------------------------------------------------------------------------
 # boosted-tree inference
 #
-# A forest is flattened into parallel node arrays; ``features[node] < 0``
+# A forest is flattened into parallel node lists; ``features[node] < 0``
 # marks a leaf.  Margin = base + shrinkage * sum of leaf values, trees
-# visited in training order.
+# visited in training order.  Callers score one row (the service) or a few
+# hundred (``train``, ``evaluate``), where this plain walk takes about a
+# millisecond, so it is the only implementation.  It trusts the forest:
+# ``gbdt.load_model`` rejects out-of-range and backward children, so every
+# walk ends at a leaf.
 
 
-def _predict_margin_scalar(features, thresholds, lefts, rights, values, roots, X, base, shrinkage):
-    n = X.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
+def predict_margin(features, thresholds, lefts, rights, values, roots, rows, base, shrinkage):
+    """Margins of ``rows`` (lists of floats), as a list."""
+    out = []
+    for row in rows:
         margin = base
-        for t in range(roots.shape[0]):
-            node = roots[t]
+        for node in roots:
             while features[node] >= 0:
-                if X[i, features[node]] < thresholds[node]:
-                    node = lefts[node]
-                else:
-                    node = rights[node]
+                node = lefts[node] if row[features[node]] < thresholds[node] else rights[node]
             margin += shrinkage * values[node]
-        out[i] = margin
+        out.append(margin)
     return out
-
-
-def _predict_margin_numpy(features, thresholds, lefts, rights, values, roots, X, base, shrinkage):
-    n = X.shape[0]
-    out = np.full(n, base, dtype=np.float64)
-    for root in roots:
-        node = np.full(n, root, dtype=np.int64)
-        while True:
-            f = features[node]
-            internal = np.nonzero(f >= 0)[0]
-            if internal.size == 0:
-                break
-            at = node[internal]
-            go_left = X[internal, f[internal]] < thresholds[at]
-            node[internal] = np.where(go_left, lefts[at], rights[at])
-        out += shrinkage * values[node]
-    return out
-
-
 
 
 # --------------------------------------------------------------------------
@@ -370,7 +349,7 @@ def _predict_margin_numpy(features, thresholds, lefts, rights, values, roots, X,
 #
 # The wrappers vet every array before handing its raw pointer to C: dtype
 # and layout (``_array``), shapes, and that every index the kernel follows
-# (token ids, negatives, tree nodes, feature columns) is in range.
+# (token ids, negatives) is in range.
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -387,8 +366,7 @@ def _library_path() -> str:
 
 
 _COMPILER = shutil.which("cc") or shutil.which("gcc")
-_NATIVE_WANTED = os.environ.get("MEMLOG_NATIVE", "1").strip().lower() not in ("0", "false", "no")
-BACKEND = "native" if _NATIVE_WANTED and _COMPILER and os.path.exists(_SOURCE) else "numpy"
+BACKEND = "native" if _COMPILER and os.path.exists(_SOURCE) else "numpy"
 
 _lib = None
 _lib_lock = threading.Lock()
@@ -407,8 +385,8 @@ def _build(path: str) -> None:
         )
         if done.returncode != 0:
             raise RuntimeError(
-                f"building {_SOURCE} failed (MEMLOG_NATIVE=0 selects the numpy kernels):\n"
-                f"{done.stderr}"
+                f"building {_SOURCE} failed (without a compiler on PATH the numpy "
+                f"kernels run):\n{done.stderr}"
             )
         os.replace(tmp, path)
     finally:
@@ -436,10 +414,7 @@ def _load(path: str):
         p, p, i64, p, p, i64, p, i64, i64, f64, f64, i64, i64, p
     )
     lib.memlog_best_split.argtypes = (p, i64, i64, p, p, f64, i64, f64, f64, p, p, p)
-    lib.memlog_predict_margin.argtypes = (
-        p, p, p, p, p, i64, p, i64, p, i64, i64, f64, f64, p
-    )
-    for fn in (lib.memlog_sgns_epoch, lib.memlog_best_split, lib.memlog_predict_margin):
+    for fn in (lib.memlog_sgns_epoch, lib.memlog_best_split):
         fn.restype = ctypes.c_int
     return lib
 
@@ -521,45 +496,12 @@ def _best_split_native(X, g, h, lam, min_leaf):
     return feature.value, threshold.value, gain.value
 
 
-def _predict_margin_native(features, thresholds, lefts, rights, values, roots, X, base, shrinkage):
-    features = _array("features", features, np.int32, 1)
-    thresholds = _array("thresholds", thresholds, np.float64, 1)
-    lefts = _array("lefts", lefts, np.int32, 1)
-    rights = _array("rights", rights, np.int32, 1)
-    values = _array("values", values, np.float64, 1)
-    roots = _array("roots", roots, np.int32, 1)
-    X = _array("X", X, np.float64, 2)
-    n_nodes = features.shape[0]
-    if not thresholds.shape == lefts.shape == rights.shape == values.shape == (n_nodes,):
-        raise ValueError("node arrays differ in length")
-    inner = features >= 0
-    if not (
-        _in_range(roots, n_nodes)
-        and _in_range(features[inner], X.shape[1])
-        and _in_range(lefts[inner], n_nodes)
-        and _in_range(rights[inner], n_nodes)
-    ):
-        raise ValueError("forest refers to a node or feature column that does not exist")
-    out = np.empty(X.shape[0], dtype=np.float64)
-    status = _native().memlog_predict_margin(
-        features.ctypes.data, thresholds.ctypes.data, lefts.ctypes.data, rights.ctypes.data,
-        values.ctypes.data, n_nodes, roots.ctypes.data, roots.shape[0],
-        X.ctypes.data, X.shape[0], X.shape[1],
-        base, shrinkage, out.ctypes.data,
-    )
-    if status != 0:
-        raise ValueError("forest has a cycle")
-    return out
-
-
 # --------------------------------------------------------------------------
 # backend binding
 
 if BACKEND == "native":
     sgns_epoch = _sgns_epoch_native
     best_split = _best_split_native
-    predict_margin = _predict_margin_native
 else:
     sgns_epoch = _sgns_epoch_numpy
     best_split = _best_split_numpy
-    predict_margin = _predict_margin_numpy

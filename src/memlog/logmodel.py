@@ -1,4 +1,4 @@
-"""Canonical runtime-log schema: parsing, cleaning and anonymization.
+"""Canonical runtime-log schema: parsing, cleaning and serialization.
 
 A raw log is a JSON document captured at process launch.  ``parse_log``
 turns raw bytes into a :class:`CanonicalLog` plus a :class:`CleaningReport`
@@ -18,9 +18,6 @@ serialization alike.
 """
 from __future__ import annotations
 
-import copy
-import hashlib
-import hmac
 import json
 import math
 import re
@@ -77,7 +74,7 @@ class PeType(Enum):
 
 @dataclass
 class Anonymized:
-    """Identity-bearing strings, replaced by pseudonyms before sharing."""
+    """Identity-bearing strings, pseudonymized by the log producer before sharing."""
 
     username: str = ""
     domain_name: str = ""
@@ -614,28 +611,3 @@ def serialize_log(log: CanonicalLog) -> bytes:
     return json.dumps(
         log_to_dict(log), sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
     ).encode("utf-8")
-
-
-_ANON_PREFIX = "anon:"
-
-
-def anonymize(log: CanonicalLog, salt: bytes | str) -> CanonicalLog:
-    """Replace identity-bearing fields with keyed-hash pseudonyms.
-
-    Equal values under equal salt map to equal pseudonyms; already
-    anonymized values pass through unchanged, so the operation is
-    idempotent.  Empty fields stay empty.
-    """
-    if isinstance(salt, str):
-        salt = salt.encode("utf-8")
-
-    def pseudonym(field_name: str, value: str) -> str:
-        if not value or value.startswith(_ANON_PREFIX):
-            return value
-        mac = hmac.new(salt, f"{field_name}:{value}".encode("utf-8"), hashlib.sha256)
-        return _ANON_PREFIX + mac.hexdigest()[:24]
-
-    out = copy.deepcopy(log)
-    for f in fields(Anonymized):
-        setattr(out.anonymized, f.name, pseudonym(f.name, getattr(out.anonymized, f.name)))
-    return out

@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
-from .embedding import EmbeddingModel, load_embeddings
+from .embedding import EMBEDDING_DIM, EmbeddingModel, load_embeddings
 from .errors import (
     BindFailure,
     CorruptPayload,
@@ -40,7 +40,7 @@ from .errors import (
 from .gbdt import DEFAULT_THRESHOLD, GbdtModel, classify, load_model, predict_one
 from .logmodel import DEFAULT_MAX_BYTES, Label, parse_log
 from .tokenizer import tokenize
-from .vectorizer import vectorize_log
+from .vectorizer import LOG_VECTOR_DIM, vectorize_log
 
 logger = logging.getLogger(__name__)
 
@@ -135,12 +135,27 @@ def load_detector(
     threshold: float = DEFAULT_THRESHOLD,
     audit_path: Optional[str] = None,
 ) -> DetectorService:
-    """Load both model files, failing fast with ModelLoadFailure."""
+    """Load both model files, failing fast with ModelLoadFailure.
+
+    Besides each file's own checks, the pair must fit together: the
+    embeddings must have the dimension the vectorizer pools, and every
+    split must read a column of the vectors that pooling produces.
+    """
     try:
         embeddings = load_embeddings(embeddings_path)
         model = load_model(model_path)
     except (OSError, BadMagic, VersionMismatch, CorruptPayload) as exc:
         raise ModelLoadFailure(str(exc)) from exc
+    if embeddings.dim != EMBEDDING_DIM:
+        raise ModelLoadFailure(
+            f"{embeddings_path} has {embeddings.dim}-dim embeddings, expected {EMBEDDING_DIM}"
+        )
+    top_feature = max((int(tree.features.max()) for tree in model.trees), default=-1)
+    if top_feature >= LOG_VECTOR_DIM:
+        raise ModelLoadFailure(
+            f"{model_path} splits on feature {top_feature}, but log vectors have "
+            f"{LOG_VECTOR_DIM}"
+        )
     return DetectorService(embeddings, model, threshold, audit_path)
 
 

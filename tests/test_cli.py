@@ -22,10 +22,55 @@ TINY_TRAIN = [
 ]
 
 
-def run_cli(*args, timeout=300):
+def run_cli(*args, timeout=300, env=None):
     return subprocess.run(
-        [*CLI, *map(str, args)], capture_output=True, text=True, timeout=timeout
+        [*CLI, *map(str, args)], capture_output=True, text=True, timeout=timeout, env=env
     )
+
+
+def env_with(**overrides):
+    env = dict(os.environ)
+    env.update({key: str(value) for key, value in overrides.items()})
+    return env
+
+
+# Runs the CLI in-process, then asserts the native library was never loaded.
+NO_LIBRARY_CODE = """
+import sys
+from memlog import cli, kernels
+assert cli.main(sys.argv[1:]) == 0
+assert kernels._lib is None
+"""
+
+
+def damaged_pair(workspace, tmp_path, damage):
+    """The workspace models with one file damaged so that load_detector must refuse them."""
+    from memlog.embedding import EmbeddingModel, load_embeddings, save_embeddings
+    from memlog.gbdt import load_model, save_model
+    from memlog.vectorizer import LOG_VECTOR_DIM
+
+    embeddings, model = workspace["embeddings"], workspace["model"]
+    if damage == "8-dim embeddings":
+        full = load_embeddings(str(embeddings))
+        narrow = EmbeddingModel(
+            full.vocab, full.input_vectors[:, :8].copy(), full.output_vectors[:, :8].copy(), dim=8
+        )
+        embeddings = tmp_path / "narrow.mleb"
+        save_embeddings(narrow, str(embeddings))
+        return embeddings, model
+    loaded = load_model(str(model))
+    tree = loaded.trees[0]
+    assert tree.features[0] >= 0  # node 0 splits
+    if damage == "cyclic tree":
+        tree.lefts[0] = 0
+    else:
+        tree.features[0] = LOG_VECTOR_DIM
+    model = tmp_path / "damaged.mlgb"
+    save_model(loaded, str(model))
+    return embeddings, model
+
+
+DAMAGES = ["cyclic tree", "8-dim embeddings", "feature out of range"]
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +183,18 @@ class TestTrain:
         assert (tmp_path / "m1.mlgb").read_bytes() == workspace["model"].read_bytes()
         assert json.loads(first.stdout) == workspace["train_report"]
 
+    def test_numpy_backend_writes_identical_bytes(self, workspace, tmp_path):
+        # no cc or gcc on PATH selects the numpy kernels
+        empty_bin = tmp_path / "bin"
+        empty_bin.mkdir()
+        result = run_cli("train", "--corpus", workspace["corpus"],
+                         "--embeddings-out", tmp_path / "e.mleb",
+                         "--model-out", tmp_path / "m.mlgb",
+                         "--seed", "5", *TINY_TRAIN, env=env_with(PATH=empty_bin))
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "e.mleb").read_bytes() == workspace["embeddings"].read_bytes()
+        assert (tmp_path / "m.mlgb").read_bytes() == workspace["model"].read_bytes()
+
     def test_single_class_corpus_fails(self, tmp_path):
         corpus = tmp_path / "benign_only"
         assert run_cli("gen", "--out", corpus, "--malicious", "0", "--benign", "8",
@@ -243,6 +300,26 @@ class TestPredict:
                          "--model", tmp_path / "nope.mlgb")
         assert result.returncode == 4
 
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_damaged_model_pair_fails(self, workspace, tmp_path, damage):
+        embeddings, model = damaged_pair(workspace, tmp_path, damage)
+        result = run_cli("predict", "--log", workspace["corpus"] / "log_00000.json",
+                         "--embeddings", embeddings, "--model", model, timeout=60)
+        assert result.returncode == 4, result.stderr
+
+    def test_scoring_never_loads_native_library(self, workspace, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        models = ["--embeddings", workspace["embeddings"], "--model", workspace["model"]]
+        for command in (["evaluate", "--corpus", workspace["corpus"]],
+                        ["predict", "--log", workspace["corpus"] / "log_00000.json"]):
+            result = subprocess.run(
+                [sys.executable, "-c", NO_LIBRARY_CODE, *map(str, command + models)],
+                capture_output=True, text=True, timeout=120, env=env_with(XDG_CACHE_HOME=cache),
+            )
+            assert result.returncode == 0, result.stderr
+        assert list(cache.rglob("*.so")) == []
+
 
 class TestServe:
     def test_serves_then_exits_cleanly_on_sigterm(self, workspace):
@@ -277,6 +354,13 @@ class TestServe:
                          "--embeddings", workspace["embeddings"],
                          "--model", tmp_path / "nope.mlgb")
         assert result.returncode == 4
+
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_damaged_model_pair_fails_before_binding(self, workspace, tmp_path, damage):
+        embeddings, model = damaged_pair(workspace, tmp_path, damage)
+        result = run_cli("serve", "--bind", "127.0.0.1:0",
+                         "--embeddings", embeddings, "--model", model, timeout=60)
+        assert result.returncode == 4, result.stderr
 
     def test_bad_bind_spec_is_usage_error(self, workspace):
         result = run_cli("serve", "--bind", "nonsense",

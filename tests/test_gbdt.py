@@ -10,11 +10,11 @@ against the oracle on exactly the rows that node saw.
 import dataclasses
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from memlog import kernels
 from memlog.errors import (
     BadMagic,
     CorruptPayload,
@@ -321,9 +321,13 @@ class TestPrediction:
             batch = predict(model, X)
             singles = [predict_one(model, row) for row in X]
             assert batch == pytest.approx(singles, abs=0.0)
-            oracle = _stable_sigmoid(kernels._predict_margin_scalar(
-                *model._flat(), X, model.base_score, model.params.shrinkage
-            ))
+            margins = []
+            for row in X:
+                margin = model.base_score
+                for tree in model.trees:  # float64 sum in tree order
+                    margin += model.params.shrinkage * route_one(tree, row)
+                margins.append(margin)
+            oracle = _stable_sigmoid(np.array(margins, dtype=np.float64))
             assert np.array(singles).tobytes() == oracle.tobytes()
 
     def test_scores_are_probabilities(self, small_classifier, small_dataset):
@@ -477,6 +481,18 @@ class TestPersistence:
             clipped.write_bytes(blob[:cut])
             with pytest.raises(CorruptPayload):
                 load_model(str(clipped))
+
+    def test_cyclic_tree_is_corrupt(self, trained, tmp_path):
+        path = tmp_path / "model.mlgb"
+        save_model(trained, str(path))
+        blob = bytearray(path.read_bytes())
+        # magic, version and header (48 bytes), tree 0's node count, then
+        # node 0 as (i32 feature, f64 threshold, i32 left, ...)
+        assert struct.unpack_from("<i", blob, 52)[0] >= 0  # node 0 splits
+        struct.pack_into("<i", blob, 52 + 12, 0)  # left child of node 0 is node 0
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptPayload, match="tree 0 node 0"):
+            load_model(str(path))
 
     def test_trailing_bytes(self, trained, tmp_path):
         path = tmp_path / "model.mlgb"

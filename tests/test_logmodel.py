@@ -29,7 +29,6 @@ from memlog.logmodel import (
     ResourceEntry,
     Runtime,
     SectionInfo,
-    anonymize,
     log_to_dict,
     parse_log,
     serialize_log,
@@ -319,48 +318,6 @@ class TestSchemaDoc:
             ("pe", data["pe"]),
         ):
             assert sorted(documented[section]) == sorted(block), section
-
-
-class TestAnonymize:
-    RAW = b'{"anonymized":{"username":"alice","machine_name":"ws-1","domain_name":"corp"}}'
-
-    def test_same_salt_same_pseudonym(self):
-        log, _ = parse_log(self.RAW)
-        other, _ = parse_log(b'{"anonymized":{"username":"alice"}}')
-        assert anonymize(log, b"s").anonymized.username == anonymize(other, b"s").anonymized.username
-
-    def test_different_salts_differ(self):
-        log, _ = parse_log(self.RAW)
-        names = {anonymize(log, salt).anonymized.username for salt in (b"a", b"b", b"c")}
-        assert len(names) == 3
-
-    def test_distinct_names_stay_distinct(self):
-        # keyed-hash pseudonyms over 1k names must not collide
-        pseudonyms = set()
-        for i in range(1000):
-            log, _ = parse_log(json.dumps({"anonymized": {"username": f"user{i}"}}).encode())
-            pseudonyms.add(anonymize(log, b"fixed").anonymized.username)
-        assert len(pseudonyms) == 1000
-
-    def test_empty_block_unchanged(self):
-        log, _ = parse_log(b"{}")
-        assert anonymize(log, b"s") == log
-
-    def test_other_fields_untouched(self):
-        log, _ = parse_log(b'{"anonymized":{"username":"u"},"metadata":{"exe_name":"x.exe"}}')
-        out = anonymize(log, b"s")
-        assert out.metadata == log.metadata
-        assert out.runtime == log.runtime
-
-    def test_idempotent_with_same_salt(self):
-        log, _ = parse_log(self.RAW)
-        once = anonymize(log, b"s")
-        assert anonymize(once, b"s") == once
-
-    def test_original_not_mutated(self):
-        log, _ = parse_log(self.RAW)
-        anonymize(log, b"s")
-        assert log.anonymized.username == "alice"
 
 
 class TestParseTotality:

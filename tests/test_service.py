@@ -10,9 +10,9 @@ import urllib.request
 import numpy as np
 import pytest
 
-from memlog.embedding import load_embeddings
+from memlog.embedding import EmbeddingModel, load_embeddings, save_embeddings
 from memlog.errors import BindFailure, ModelLoadFailure, NotJson, OversizeLog
-from memlog.gbdt import classify, load_model, predict_one
+from memlog.gbdt import classify, load_model, predict_one, save_model
 from memlog.logmodel import DEFAULT_MAX_BYTES, Label, parse_log, serialize_log
 from memlog.service import (
     DetectorService,
@@ -150,6 +150,28 @@ class TestLoadDetector:
         bad.write_bytes(b"MLGB" + b"\x00" * 10)
         with pytest.raises(ModelLoadFailure):
             load_detector(model_dir["embeddings"], str(bad))
+
+    def test_mismatched_pair(self, model_dir, small_embeddings, tmp_path):
+        narrow = EmbeddingModel(
+            small_embeddings.vocab,
+            small_embeddings.input_vectors[:, :8].copy(),
+            small_embeddings.output_vectors[:, :8].copy(),
+            dim=8,
+        )
+        path = tmp_path / "narrow.mleb"
+        save_embeddings(narrow, str(path))
+        assert load_embeddings(str(path)) == narrow  # a sound file on its own
+        with pytest.raises(ModelLoadFailure, match="8-dim"):
+            load_detector(str(path), model_dir["model"])
+
+    def test_feature_out_of_range(self, model_dir, tmp_path):
+        model = load_model(str(model_dir["model"]))
+        assert model.trees[0].features[0] >= 0
+        model.trees[0].features[0] = LOG_VECTOR_DIM
+        path = tmp_path / "wide.mlgb"
+        save_model(model, str(path))
+        with pytest.raises(ModelLoadFailure, match=f"feature {LOG_VECTOR_DIM}"):
+            load_detector(model_dir["embeddings"], str(path))
 
     def test_ready_after_load(self, detector):
         assert detector.ready
