@@ -1,13 +1,13 @@
 /* Compiled training kernels for memlog.kernels.
  *
- * Each function is a line-for-line port of the Python reference named in
- * its comment (kernels._sgns_epoch_scalar, kernels._best_split_scalar),
- * with the same operand types and evaluation order.  Built without
- * fast-math and with -ffp-contract=off, so no operation is fused or
- * reordered and the results are bit-identical to the references.  The
- * Python wrappers in kernels.py check every array (dtype, layout, shape,
- * index ranges) before calling; nothing here re-checks them.  Functions
- * return 0 on success and -1 when a work buffer cannot be allocated.
+ * Each function computes what the numpy reference named in its comment
+ * (kernels._sgns_epoch_numpy, kernels._best_split_numpy) computes, with
+ * the same operand types and evaluation order.  Built without fast-math
+ * and with -ffp-contract=off, so no operation is fused or reordered and
+ * the results are bit-identical to the references.  The Python wrappers
+ * in kernels.py check every array (dtype, layout, shape, index ranges)
+ * before calling; nothing here re-checks them.  Functions return 0 on
+ * success and -1 when a work buffer cannot be allocated.
  */
 #include <math.h>
 #include <stdint.h>
@@ -15,7 +15,7 @@
 #include <string.h>
 
 /* ------------------------------------------------------------------------
- * skip-gram with negative sampling: kernels._sgns_epoch_scalar
+ * skip-gram with negative sampling: kernels._sgns_epoch_numpy
  */
 
 int memlog_sgns_epoch(const int32_t *ids, const int64_t *offsets, int64_t n_sentences,
@@ -100,7 +100,7 @@ int memlog_sgns_epoch(const int32_t *ids, const int64_t *offsets, int64_t n_sent
 }
 
 /* ------------------------------------------------------------------------
- * gradient-boosted tree split search: kernels._best_split_scalar
+ * gradient-boosted tree split search: kernels._best_split_numpy
  */
 
 /* numpy's sort order: NaN after every number. */
@@ -130,7 +130,8 @@ static void argsort_stable(const double *x, int64_t n, int64_t *order, int64_t *
     }
 }
 
-/* kernels._scan_feature_best */
+/* The largest of this feature's gains in _best_split_numpy's feature_gains;
+ * -INFINITY when no candidate is valid. */
 static double scan_feature_best(const double *x, const int64_t *order, int64_t n,
                                 const double *g, const double *h, double gtot, double htot,
                                 double lam, int64_t min_leaf, double parent)
@@ -152,7 +153,8 @@ static double scan_feature_best(const double *x, const int64_t *order, int64_t n
     return best;
 }
 
-/* kernels._scan_feature_winner; returns 1 and sets *threshold, *gain on a hit. */
+/* The first of this feature's gains in _best_split_numpy's feature_gains
+ * that reaches the cutoff; returns 1 and sets *threshold, *gain on a hit. */
 static int scan_feature_winner(const double *x, const int64_t *order, int64_t n,
                                const double *g, const double *h, double gtot, double htot,
                                double lam, int64_t min_leaf, double parent, double cutoff,

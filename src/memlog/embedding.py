@@ -26,7 +26,6 @@ from .errors import (
     BadMagic,
     CorruptPayload,
     EmptyCorpus,
-    UnknownToken,
     VersionMismatch,
     VocabMismatch,
 )
@@ -104,12 +103,6 @@ class EmbeddingModel:
             and self.output_vectors.tobytes() == other.output_vectors.tobytes()
         )
 
-    def vector(self, token: str) -> np.ndarray:
-        i = self.vocab.index.get(token)
-        if i is None:
-            raise UnknownToken(token)
-        return self.input_vectors[i]
-
 
 def build_vocab(corpus: Iterable[GroupedTokens], min_count: int = 2) -> Vocabulary:
     """Count tokens across all groups of all logs and keep the frequent ones."""
@@ -143,17 +136,6 @@ def _sentences(corpus: Iterable[GroupedTokens], vocab: Vocabulary) -> tuple[np.n
     return np.asarray(ids, dtype=np.int32), np.asarray(offsets, dtype=np.int64)
 
 
-def _count_pairs(offsets: np.ndarray, window: int) -> int:
-    total = 0
-    lengths = np.diff(offsets)
-    for n in lengths:
-        n = int(n)
-        d_max = min(window, n - 1)
-        # ordered pairs at distance d: 2 * (n - d)
-        total += sum(2 * (n - d) for d in range(1, d_max + 1))
-    return total
-
-
 def _negative_sampling_cdf(vocab: Vocabulary) -> np.ndarray:
     weights = np.asarray(vocab.frequencies, dtype=np.float64) ** NEGATIVE_SAMPLING_POWER
     cdf = np.cumsum(weights)
@@ -184,7 +166,7 @@ def train_embeddings(
     vin = ((rng.random((len(vocab), EMBEDDING_DIM), dtype=np.float32)) - 0.5) / EMBEDDING_DIM
     vout = np.zeros((len(vocab), EMBEDDING_DIM), dtype=np.float32)
 
-    pairs_per_epoch = _count_pairs(offsets, hp.window)
+    pairs_per_epoch = kernels.count_pairs(offsets, hp.window)
     if pairs_per_epoch > 0:
         cdf = _negative_sampling_cdf(vocab)
         total_pairs = pairs_per_epoch * hp.epochs

@@ -60,10 +60,6 @@ class EmptyCorpus(MemlogError):
     """No token survives vocabulary construction."""
 
 
-class UnknownToken(MemlogError):
-    """Token is not present in the vocabulary."""
-
-
 class VocabMismatch(MemlogError):
     """Vocabulary does not match the embedding matrices."""
 

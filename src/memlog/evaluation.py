@@ -12,8 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InsufficientClassCount, LengthMismatch, SingleClassInput
-
-MALICIOUS, BENIGN = 1, 0
+from .vectorizer import BENIGN, MALICIOUS
 
 
 @dataclass

@@ -1,15 +1,16 @@
 """Hot numeric kernels: skip-gram SGD, boosted-tree split search, tree inference.
 
 The two training kernels, ``sgns_epoch`` and ``best_split``, each have
-three implementations:
+two implementations:
 
-- ``_<kernel>_scalar``: a plain scalar-loop Python reference, the oracle
-  the tests compare the others against;
-- ``_<kernel>_native``: the same loops in C (``_native.c``), called
-  through ``ctypes``;
-- ``_<kernel>_numpy``: a vectorized pure-numpy fallback.
+- ``_<kernel>_numpy``: Python loops over numpy rows and columns, the
+  reference the tests check against the math (the float64 pair objective
+  in ``embedding``, an exhaustive split enumeration) and the fallback when
+  there is no compiler;
+- ``_<kernel>_native``: the same arithmetic in the same order in C
+  (``_native.c``), called through ``ctypes``.
 
-All three are bit-identical: same operand types, same accumulation order,
+Both are bit-identical: same operand types, same accumulation order,
 no fused or reordered arithmetic, and all randomness is drawn outside the
 kernel.  So the backend changes only the speed of training, never the
 model files it writes.  ``BACKEND`` is ``"native"`` when a C compiler
@@ -59,6 +60,15 @@ GAIN_TIE_ABS = 1e-15
 # summed pair loss for diagnostics.
 
 
+def count_pairs(offsets, window):
+    """Number of (center, context) pairs one epoch over these sentences visits."""
+    lengths = np.diff(np.asarray(offsets, dtype=np.int64))
+    # a sentence of n tokens has 2 * (n - d) ordered pairs at each distance d <= reach
+    window = min(int(window), int(lengths.max(initial=0)))
+    reach = np.clip(np.minimum(window, lengths - 1), 0, None)
+    return int((reach * (2 * lengths - reach - 1)).sum())
+
+
 def _sgns_epoch_numpy(ids, offsets, vin, vout, negatives, window, lr0, lr_floor, pair_base, total_pairs):
     k = negatives.shape[1]
     pair = 0
@@ -79,7 +89,7 @@ def _sgns_epoch_numpy(ids, offsets, vin, vout, negatives, window, lr0, lr_floor,
                 v = vin[center]
                 grad_v = np.zeros_like(v)
 
-                # float64 running sum of float32 products, as in the reference
+                # float64 running sum of float32 products, one product at a time
                 score = float(np.add.accumulate((vout[context] * v).astype(np.float64))[-1])
                 # sigmoid and softplus in overflow-safe form
                 if score >= 0.0:
@@ -115,70 +125,6 @@ def _sgns_epoch_numpy(ids, offsets, vin, vout, negatives, window, lr0, lr_floor,
     return loss
 
 
-def _sgns_epoch_scalar(ids, offsets, vin, vout, negatives, window, lr0, lr_floor, pair_base, total_pairs):
-    dim = vin.shape[1]
-    k = negatives.shape[1]
-    grad_v = np.zeros(dim, dtype=np.float32)
-    pair = 0
-    loss = 0.0
-    for s in range(offsets.shape[0] - 1):
-        start, stop = offsets[s], offsets[s + 1]
-        for i in range(start, stop):
-            center = ids[i]
-            lo = max(i - window, start)
-            hi = min(i + window, stop - 1)
-            for j in range(lo, hi + 1):
-                if j == i:
-                    continue
-                context = ids[j]
-                lr = lr0 * (1.0 - (pair_base + pair) / total_pairs)
-                if lr < lr_floor:
-                    lr = lr_floor
-                for d in range(dim):
-                    grad_v[d] = 0.0
-
-                # float64 accumulator even under interpreted promotion rules
-                score = np.float64(0.0)
-                for d in range(dim):
-                    score += vout[context, d] * vin[center, d]
-                if score >= 0.0:
-                    sig = 1.0 / (1.0 + math.exp(-score))
-                    loss += math.log1p(math.exp(-score))
-                else:
-                    e = math.exp(score)
-                    sig = e / (1.0 + e)
-                    loss += math.log1p(e) - score
-                g = np.float32((1.0 - sig) * lr)
-                for d in range(dim):
-                    grad_v[d] += g * vout[context, d]
-                    vout[context, d] += g * vin[center, d]
-
-                for n in range(k):
-                    target = negatives[pair, n]
-                    if target == context:
-                        continue
-                    score = np.float64(0.0)
-                    for d in range(dim):
-                        score += vout[target, d] * vin[center, d]
-                    if score >= 0.0:
-                        e = math.exp(-score)
-                        sig = 1.0 / (1.0 + e)
-                        loss += math.log1p(e) + score
-                    else:
-                        e = math.exp(score)
-                        sig = e / (1.0 + e)
-                        loss += math.log1p(e)
-                    g = np.float32(-sig * lr)
-                    for d in range(dim):
-                        grad_v[d] += g * vout[target, d]
-                        vout[target, d] += g * vin[center, d]
-
-                for d in range(dim):
-                    vin[center, d] += grad_v[d]
-                pair += 1
-    return loss
-
-
 # --------------------------------------------------------------------------
 # gradient-boosted tree split search
 #
@@ -191,89 +137,8 @@ def _sgns_epoch_scalar(ids, offsets, vin, vout, negatives, window, lr0, lr_floor
 # two-pass: find the maximum gain, then take the first candidate (lowest
 # feature, then lowest threshold) within the tie band of that maximum.
 # Returns (feature, threshold, gain); feature is -1 when no split helps.
-
-
-def _node_totals(g, h):
-    gtot = 0.0
-    htot = 0.0
-    for i in range(g.shape[0]):
-        gtot += g[i]
-        htot += h[i]
-    return gtot, htot
-
-
-def _scan_feature_best(x, order, g, h, gtot, htot, lam, min_leaf, parent):
-    """Best gain over this feature's candidate splits; -inf when none valid."""
-    n = order.shape[0]
-    best = -np.inf
-    cg = 0.0
-    ch = 0.0
-    for i in range(n - 1):
-        row = order[i]
-        cg += g[row]
-        ch += h[row]
-        if x[order[i]] == x[order[i + 1]]:
-            continue
-        if i + 1 < min_leaf or n - i - 1 < min_leaf:
-            continue
-        gr = gtot - cg
-        hr = htot - ch
-        gain = 0.5 * (cg * cg / (ch + lam) + gr * gr / (hr + lam) - parent)
-        if gain > best:
-            best = gain
-    return best
-
-
-def _scan_feature_winner(x, order, g, h, gtot, htot, lam, min_leaf, parent, cutoff):
-    """First candidate in threshold order whose gain reaches the cutoff."""
-    n = order.shape[0]
-    cg = 0.0
-    ch = 0.0
-    for i in range(n - 1):
-        row = order[i]
-        cg += g[row]
-        ch += h[row]
-        if x[order[i]] == x[order[i + 1]]:
-            continue
-        if i + 1 < min_leaf or n - i - 1 < min_leaf:
-            continue
-        gr = gtot - cg
-        hr = htot - ch
-        gain = 0.5 * (cg * cg / (ch + lam) + gr * gr / (hr + lam) - parent)
-        if gain >= cutoff and gain > 0.0:
-            return (x[order[i]] + x[order[i + 1]]) / 2.0, gain
-    return np.nan, -np.inf
-
-
-def _best_split_scalar(X, g, h, lam, min_leaf):
-    n, n_features = X.shape
-    if n < 2 * min_leaf:
-        return -1, 0.0, 0.0
-    gtot, htot = _node_totals(g, h)
-    parent = gtot * gtot / (htot + lam)
-
-    feature_best = np.full(n_features, -np.inf)
-    for f in range(n_features):
-        order = np.argsort(X[:, f], kind="mergesort")
-        feature_best[f] = _scan_feature_best(X[:, f], order, g, h, gtot, htot, lam, min_leaf, parent)
-
-    best = feature_best[0]
-    for f in range(1, n_features):
-        if feature_best[f] > best:
-            best = feature_best[f]
-    if not best > 0.0:
-        return -1, 0.0, 0.0
-
-    cutoff = best - (GAIN_TIE_REL * abs(best) + GAIN_TIE_ABS)
-    for f in range(n_features):
-        if feature_best[f] >= cutoff:
-            order = np.argsort(X[:, f], kind="mergesort")
-            threshold, gain = _scan_feature_winner(
-                X[:, f], order, g, h, gtot, htot, lam, min_leaf, parent, cutoff
-            )
-            if gain > 0.0:
-                return f, threshold, gain
-    return -1, 0.0, 0.0
+# Totals and prefix sums use ``np.cumsum``, which adds in row order like
+# the C loops (``np.sum`` adds pairwise and would round differently).
 
 
 def _best_split_numpy(X, g, h, lam, min_leaf):
@@ -460,8 +325,7 @@ def _sgns_epoch_native(ids, offsets, vin, vout, negatives, window, lr0, lr_floor
         raise ValueError(f"token ids and negatives must lie in [0, {rows})")
     # windows wider than the corpus all behave alike; clamping keeps C's i +/- window in range
     window = max(-1, min(int(window), int(ids.size)))
-    reach = np.clip(np.minimum(window, lengths - 1), 0, None)
-    pairs = int((reach * (2 * lengths - reach - 1)).sum())
+    pairs = count_pairs(offsets, window)
     if negatives.shape[0] < pairs:
         raise ValueError(f"{negatives.shape[0]} rows of negatives for {pairs} pairs")
     if pairs and total_pairs <= 0:

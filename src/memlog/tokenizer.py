@@ -99,7 +99,7 @@ def _extend(tokens: list[str], *candidates: Optional[str]) -> None:
             tokens.append(tok)
 
 
-def _pe_scalar_tokens(pe: PeBlock) -> list[str]:
+def _pe_field_tokens(pe: PeBlock) -> list[str]:
     tokens: list[str] = []
     _extend(
         tokens,
@@ -183,6 +183,6 @@ def tokenize(log: CanonicalLog) -> GroupedTokens:
             ),
         )
     if log.pe is not None:
-        out.process_meta.extend(_pe_scalar_tokens(log.pe))
+        out.process_meta.extend(_pe_field_tokens(log.pe))
 
     return out

@@ -1,8 +1,8 @@
-"""Backend parity: the native kernels, the pure-numpy fallbacks and the
-scalar Python references must agree bit for bit.
+"""The training kernels: the numpy references against the math, and the
+native kernels against the numpy references, bit for bit.
 
-Every implementation of a kernel accumulates in the same order, so all
-comparisons here are exact.  Tree inference has one implementation, a
+Both implementations of a kernel accumulate in the same order, so the
+parity comparisons are exact.  Tree inference has one implementation, a
 plain Python walk; ``tests/test_gbdt.py`` checks it against per-tree
 routing.
 """
@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from memlog import kernels
+from memlog.embedding import sgns_pair_loss, sgns_pair_step
+from test_gbdt import oracle_best_split
 
 
 def count_pairs(offsets, window):
@@ -106,18 +108,19 @@ class TestBackendSelection:
 
 
 class TestSplitParity:
-    def test_backends_choose_identical_splits(self):
-        for seed in range(20):
-            X, g, h = split_inputs(seed)
-            scalar = kernels._best_split_scalar(X, g, h, 1.0, 5)
-            vectorized = kernels._best_split_numpy(X, g, h, 1.0, 5)
-            assert scalar == vectorized  # feature, threshold, and gain
+    def test_numpy_matches_exhaustive_oracle(self):
+        cases = [(*split_inputs(seed), leaf) for seed in range(20) for leaf in (1, 5, 20)]
+        # an exact tie inside one feature: thresholds 0.5 and 2.5 both gain 0.375
+        cases.append((np.arange(4.0)[:, None], np.array([1.0, -1.0, -1.0, 1.0]), np.ones(4), 1))
+        for X, g, h, min_leaf in cases:
+            feature, threshold, _ = kernels._best_split_numpy(X, g, h, 1.0, min_leaf)
+            assert (feature, threshold) == oracle_best_split(X, g, h, 1.0, min_leaf)[:2]
 
     @pytest.mark.skipif(kernels.BACKEND != "native", reason="native backend inactive")
     def test_compiled_matches_python_source(self):
         for seed in range(10):
             X, g, h = split_inputs(seed, n=60, d=4)
-            assert kernels._best_split_native(X, g, h, 1.0, 3) == kernels._best_split_scalar(
+            assert kernels._best_split_native(X, g, h, 1.0, 3) == kernels._best_split_numpy(
                 X, g, h, 1.0, 3
             )
 
@@ -125,10 +128,18 @@ class TestSplitParity:
         X = np.full((20, 3), 1.0)
         g = np.linspace(-1, 1, 20)
         h = np.full(20, 0.25)
-        assert kernels._best_split_scalar(X, g, h, 1.0, 5) == (-1, 0.0, 0.0)
         assert kernels._best_split_numpy(X, g, h, 1.0, 5) == (-1, 0.0, 0.0)
         tiny = np.random.default_rng(0).normal(size=(4, 2))
         assert kernels._best_split_numpy(tiny, g[:4], h[:4], 1.0, 5) == (-1, 0.0, 0.0)
+
+
+IMPLS = [
+    "_sgns_epoch_numpy",
+    pytest.param(
+        "_sgns_epoch_native",
+        marks=pytest.mark.skipif(kernels.BACKEND != "native", reason="native backend inactive"),
+    ),
+]
 
 
 class TestSgnsKernels:
@@ -140,9 +151,7 @@ class TestSgnsKernels:
         )
         return loss, vin, vout
 
-    @pytest.mark.parametrize(
-        "impl_name", ["_sgns_epoch_numpy", "_sgns_epoch_scalar"]
-    )
+    @pytest.mark.parametrize("impl_name", IMPLS)
     def test_epoch_runs_and_learns(self, impl_name):
         impl = getattr(kernels, impl_name)
         loss, vin, vout = self.run_epoch(impl, 40)
@@ -150,9 +159,7 @@ class TestSgnsKernels:
         assert np.isfinite(vin).all() and np.isfinite(vout).all()
         assert np.abs(vout).sum() > 0.0  # output vectors actually moved
 
-    @pytest.mark.parametrize(
-        "impl_name", ["_sgns_epoch_numpy", "_sgns_epoch_scalar"]
-    )
+    @pytest.mark.parametrize("impl_name", IMPLS)
     def test_epoch_is_deterministic(self, impl_name):
         impl = getattr(kernels, impl_name)
         loss_a, vin_a, vout_a = self.run_epoch(impl, 41)
@@ -163,22 +170,50 @@ class TestSgnsKernels:
 
     @pytest.mark.skipif(kernels.BACKEND != "native", reason="native backend inactive")
     def test_compiled_matches_python_source(self):
-        # Same scalar loops, compiled vs interpreted, in the same float order.
-        loss_c, vin_c, vout_c = self.run_epoch(kernels._sgns_epoch_native, 42)
-        loss_p, vin_p, vout_p = self.run_epoch(kernels._sgns_epoch_scalar, 42)
-        assert loss_c == loss_p
-        assert np.array_equal(vin_c, vin_p)
-        assert np.array_equal(vout_c, vout_p)
+        # Same arithmetic, compiled vs numpy rows, in the same float order.
+        for seed in (42, 43, 46, 47):
+            loss_c, vin_c, vout_c = self.run_epoch(kernels._sgns_epoch_native, seed)
+            loss_p, vin_p, vout_p = self.run_epoch(kernels._sgns_epoch_numpy, seed)
+            assert loss_c == loss_p
+            assert np.array_equal(vin_c, vin_p)
+            assert np.array_equal(vout_c, vout_p)
 
-    def test_variants_agree_loosely(self):
-        # Row-at-a-time numpy updates, but each score is the same float64
-        # running sum of float32 products as the reference: exact.
-        for seed in (43, 46, 47):
-            loss_n, vin_n, vout_n = self.run_epoch(kernels._sgns_epoch_numpy, seed)
-            loss_s, vin_s, vout_s = self.run_epoch(kernels._sgns_epoch_scalar, seed)
-            assert loss_n == loss_s
-            assert np.array_equal(vin_n, vin_s)
-            assert np.array_equal(vout_n, vout_s)
+    def test_numpy_epoch_implements_pair_objective(self):
+        # One sentence [0, 1] at window 1 is two pairs: (0 -> 1), then
+        # (1 -> 0).  Negatives are distinct from each other and from the
+        # context, so each pair is exactly one SGD step on the float64 pair
+        # objective, taken at that pair's decayed learning rate.
+        rng = np.random.default_rng(48)
+        vin = rng.random((8, 16), dtype=np.float32) - np.float32(0.5)
+        vout = rng.random((8, 16), dtype=np.float32) - np.float32(0.5)
+        negatives = np.array([[2, 3, 4, 5], [6, 7, 2, 3]], dtype=np.int32)
+        lr0, total_pairs = 0.5, 4  # two pairs of a two-epoch run: lr0, then 0.75 * lr0
+        win, wout = vin.astype(np.float64), vout.astype(np.float64)
+
+        loss = kernels._sgns_epoch_numpy(
+            np.array([0, 1], dtype=np.int32), np.array([0, 2], dtype=np.int64),
+            vin, vout, negatives, 1, lr0, lr0 * 1e-4, 0, total_pairs,
+        )
+
+        expected_loss = 0.0
+        for pair, (center, context) in enumerate([(0, 1), (1, 0)]):
+            negs = negatives[pair]
+            expected_loss += sgns_pair_loss(win[center], wout[context], wout[negs])
+            lr = lr0 * (1.0 - pair / total_pairs)
+            win[center], wout[context], wout[negs] = sgns_pair_step(
+                win[center], wout[context], wout[negs], lr
+            )
+        assert loss == pytest.approx(expected_loss, rel=1e-7)
+        np.testing.assert_allclose(vin, win, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(vout, wout, rtol=1e-5, atol=1e-6)
+
+
+class TestCountPairs:
+    def test_closed_form_matches_loop(self):
+        offsets = np.cumsum([0, 0, 1, 2, 3, 7, 0, 12])
+        for window in (-1, 0, 1, 2, 3, 5, 20, 10**30):
+            assert kernels.count_pairs(offsets, window) == count_pairs(offsets, max(window, 0))
+        assert kernels.count_pairs(np.array([0]), 5) == 0
 
 
 @pytest.mark.skipif(kernels.BACKEND != "native", reason="native backend inactive")
