@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 
@@ -73,6 +74,20 @@ def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
 
 
@@ -332,12 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--window", type=_positive_int, default=5)
     train.add_argument("--negatives", type=_positive_int, default=5)
     train.add_argument("--epochs", type=_positive_int, default=5)
-    train.add_argument("--lr", type=float, default=0.025)
+    train.add_argument("--lr", type=_positive_float, default=0.025)
     train.add_argument("--min-count", type=_positive_int, default=2)
     train.add_argument("--trees", type=_positive_int, default=100)
     train.add_argument("--depth", type=_positive_int, default=6)
-    train.add_argument("--shrinkage", type=float, default=0.1)
-    train.add_argument("--lambda", dest="lambda_", type=float, default=1.0)
+    train.add_argument("--shrinkage", type=_positive_float, default=0.1)
+    train.add_argument("--lambda", dest="lambda_", type=_non_negative_float, default=1.0)
     train.add_argument("--min-leaf", type=_positive_int, default=5)
     train.add_argument("--train-fraction", type=_open_unit_interval, default=0.70,
                        help="malicious fraction of the training split")

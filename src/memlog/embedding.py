@@ -293,6 +293,8 @@ def load_embeddings(path: str) -> EmbeddingModel:
         .reshape(vocab_size, dim)
         .copy()
     )
+    if not (np.isfinite(vin).all() and np.isfinite(vout).all()):
+        raise CorruptPayload("embedding vectors contain NaN or infinity")
     try:
         vocab = Vocabulary(tokens, freqs)
     except VocabMismatch as exc:

@@ -14,6 +14,10 @@ and leaf weight -G/(H+lam), scaled by shrinkage when added to F.  Splits
 with non-positive gain or a child below min_leaf rows are rejected; ties
 resolve to the lowest feature index, then the lowest threshold.  Training
 asserts after every round that the training log-loss has not increased.
+
+The features never change across rounds, so each column is sorted once
+per fit.  Every node receives its rows in that per-feature order, and a
+split filters it into the children's orders, so no node sorts again.
 """
 from __future__ import annotations
 
@@ -139,8 +143,8 @@ def _validate_features(X: np.ndarray) -> np.ndarray:
 class _TreeBuilder:
     """Grows one tree depth-first, emitting nodes in preorder."""
 
-    def __init__(self, X, g, h, params: GbdtParams):
-        self.X = X
+    def __init__(self, Xt, g, h, params: GbdtParams):
+        self.Xt = Xt
         self.g = g
         self.h = h
         self.params = params
@@ -149,7 +153,7 @@ class _TreeBuilder:
         self.lefts: list[int] = []
         self.rights: list[int] = []
         self.values: list[float] = []
-        self.leaf_of_row = np.zeros(X.shape[0], dtype=np.int64)
+        self.leaf_of_row = np.zeros(Xt.shape[1], dtype=np.int64)
 
     def _emit(self) -> int:
         self.features.append(-1)
@@ -159,22 +163,31 @@ class _TreeBuilder:
         self.values.append(0.0)
         return len(self.features) - 1
 
-    def build(self, rows: np.ndarray, depth: int) -> int:
+    def build(self, rows: np.ndarray, order: np.ndarray, depth: int) -> int:
+        """Grow the node holding ``rows`` (ascending); ``order`` is their per-feature sort."""
         node = self._emit()
         lam = self.params.lambda_
-        if depth < self.params.max_depth:
-            feature, threshold, gain = kernels.best_split(
-                self.X[rows], self.g[rows], self.h[rows], lam, self.params.min_leaf
-            )
-            if feature >= 0:
-                go_left = self.X[rows, feature] < threshold
-                self.features[node] = int(feature)
-                self.thresholds[node] = float(threshold)
-                self.lefts[node] = self.build(rows[go_left], depth + 1)
-                self.rights[node] = self.build(rows[~go_left], depth + 1)
-                return node
         g_sum = float(np.cumsum(self.g[rows])[-1]) if rows.size else 0.0
         h_sum = float(np.cumsum(self.h[rows])[-1]) if rows.size else 0.0
+        if depth < self.params.max_depth:
+            feature, threshold, gain = kernels.best_split(
+                order, self.Xt, self.g, self.h, g_sum, h_sum, lam, self.params.min_leaf
+            )
+            if feature >= 0:
+                self.features[node] = int(feature)
+                self.thresholds[node] = float(threshold)
+                goes_left = self.Xt[feature] < threshold
+                go_left = goes_left[rows]
+                n_left = int(go_left.sum())
+                # filtering each feature's order keeps it sorted: the children need no sort
+                left = goes_left[order]
+                self.lefts[node] = self.build(
+                    rows[go_left], order[left].reshape(-1, n_left), depth + 1
+                )
+                self.rights[node] = self.build(
+                    rows[~go_left], order[~left].reshape(-1, rows.size - n_left), depth + 1
+                )
+                return node
         self.values[node] = -g_sum / (h_sum + lam)
         self.leaf_of_row[rows] = node
         return node
@@ -209,13 +222,16 @@ def train_classifier(X: np.ndarray, y: np.ndarray, params: GbdtParams | None = N
     trees: list[RegressionTree] = []
     losses = [log_loss(margins, y)]
     all_rows = np.arange(X.shape[0], dtype=np.int64)
+    # X never changes, so one stable sort per feature serves every node of every tree
+    Xt = np.ascontiguousarray(X.T)
+    order = np.argsort(Xt, axis=1, kind="stable")
 
     for _ in range(params.trees):
         sig = _stable_sigmoid(margins)
         g = sig - y
         h = sig * (1.0 - sig)
-        builder = _TreeBuilder(X, g, h, params)
-        builder.build(all_rows, 0)
+        builder = _TreeBuilder(Xt, g, h, params)
+        builder.build(all_rows, order, 0)
         tree = builder.finish()
         trees.append(tree)
         margins += params.shrinkage * tree.values[builder.leaf_of_row]
@@ -324,6 +340,8 @@ def load_model(path: str) -> GbdtModel:
     if version != MODEL_VERSION:
         raise VersionMismatch(f"model format version {version} is not supported")
     tree_count, max_depth, shrinkage, lambda_, base_score = _HEADER.unpack_from(blob, 8)
+    if not np.isfinite([shrinkage, lambda_, base_score]).all():
+        raise CorruptPayload("model header has a non-finite shrinkage, lambda or base score")
 
     pos = 8 + _HEADER.size
     trees = []
@@ -346,6 +364,8 @@ def load_model(path: str) -> GbdtModel:
             if f >= 0 and not (i < le < node_count and i < ri < node_count):
                 raise CorruptPayload(f"tree {t} node {i} has a child out of range or not after it")
             features[i], thresholds[i], lefts[i], rights[i], values[i] = f, thr, le, ri, val
+        if not (np.isfinite(thresholds).all() and np.isfinite(values).all()):
+            raise CorruptPayload(f"tree {t} has a non-finite threshold or leaf value")
         trees.append(RegressionTree(features, thresholds, lefts, rights, values))
     if pos != len(blob):
         raise CorruptPayload(f"{len(blob) - pos} trailing bytes after the last tree")

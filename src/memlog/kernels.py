@@ -1,13 +1,12 @@
 """Hot numeric kernels: skip-gram SGD, boosted-tree split search, tree inference.
 
-The two training kernels, ``sgns_epoch`` and ``best_split``, each have
-two implementations:
+Only the skip-gram epoch, ``sgns_epoch``, is compiled.  It has two
+implementations:
 
-- ``_<kernel>_numpy``: Python loops over numpy rows and columns, the
-  reference the tests check against the math (the float64 pair objective
-  in ``embedding``, an exhaustive split enumeration) and the fallback when
-  there is no compiler;
-- ``_<kernel>_native``: the same arithmetic in the same order in C
+- ``_sgns_epoch_numpy``: Python loops over numpy rows, the reference the
+  tests check against the float64 pair objective in ``embedding`` and the
+  fallback when there is no compiler;
+- ``_sgns_epoch_native``: the same arithmetic in the same order in C
   (``_native.c``), called through ``ctypes``.
 
 Both are bit-identical: same operand types, same accumulation order,
@@ -15,16 +14,19 @@ no fused or reordered arithmetic, and all randomness is drawn outside the
 kernel.  So the backend changes only the speed of training, never the
 model files it writes.  ``BACKEND`` is ``"native"`` when a C compiler
 (``cc`` or ``gcc``) is on ``PATH`` at import and ``"numpy"`` otherwise,
-and the public names bind to it.  The library is compiled on the first
-call of a native kernel, not at import, with ``-O2 -ffp-contract=off``
+and ``sgns_epoch`` binds to it.  The library is compiled on the first
+call of the native epoch, not at import, with ``-O2 -ffp-contract=off``
 (no fast-math), into ``$XDG_CACHE_HOME/memlog`` (default
 ``~/.cache/memlog``) under a file name keyed by the SHA-256 of the source,
 the flags and the machine; the compiler writes a temporary file that is
 then renamed into place.  A compiler that fails raises
 :class:`RuntimeError`.
 
-Tree inference, ``predict_margin``, is one plain Python walk for every
-caller; scoring never builds or loads the library.
+Split search, ``best_split``, is one numpy function on every host: the
+trainer sorts each feature column once per fit, and the search scans all
+features of a node in one pass over that order.  Tree inference,
+``predict_margin``, is one plain Python walk for every caller; scoring
+never builds or loads the library.
 """
 from __future__ import annotations
 
@@ -133,55 +135,50 @@ def _sgns_epoch_numpy(ids, offsets, vin, vout, negatives, window, lr0, lr_floor,
 #
 #     1/2 * (GL^2/(HL+lam) + GR^2/(HR+lam) - G^2/(H+lam))
 #
-# Children below min_leaf rows and gains <= 0 are rejected.  Selection is
-# two-pass: find the maximum gain, then take the first candidate (lowest
-# feature, then lowest threshold) within the tie band of that maximum.
-# Returns (feature, threshold, gain); feature is -1 when no split helps.
-# Totals and prefix sums use ``np.cumsum``, which adds in row order like
-# the C loops (``np.sum`` adds pairwise and would round differently).
+# Children below min_leaf rows and gains <= 0 are rejected, and so is a
+# NaN gain (a zero hessian sum at lam = 0).  Among the candidates within
+# the tie band of the maximum, the first wins: lowest feature, then
+# lowest threshold.  Returns (feature, threshold, gain); feature is -1
+# when no split helps.
+#
+# The caller sorts each feature column once per fit and hands every node
+# its rows in that order: row f of ``order`` lists the node's row indices
+# by ascending ``Xt[f]``, ties by row index.  One pass scans every feature
+# at once.  Prefix sums use ``np.cumsum``, which adds in row order (``np.sum``
+# adds pairwise and would round differently); the node totals ``gtot`` and
+# ``htot`` are ``np.cumsum`` over the node's rows in ascending order.
 
 
-def _best_split_numpy(X, g, h, lam, min_leaf):
-    n, n_features = X.shape
-    if n < 2 * min_leaf:
+def best_split(order, Xt, g, h, gtot, htot, lam, min_leaf):
+    """Best split of the node whose per-feature sorted rows are ``order``.
+
+    ``order`` is (features x node rows) of indices into the columns of the
+    feature-major matrix ``Xt`` and into the gradients ``g`` and hessians ``h``.
+    """
+    n_features, n = order.shape
+    # a left child holds k rows for k in [lo, n - lo]; even min_leaf 0 leaves a row a side
+    lo = max(int(min_leaf), 1)
+    if n_features == 0 or n < 2 * lo:
         return -1, 0.0, 0.0
-    gtot = float(np.cumsum(g)[-1])
-    htot = float(np.cumsum(h)[-1])
-    parent = gtot * gtot / (htot + lam)
-
-    positions = np.arange(1, n)
-    size_ok = (positions >= min_leaf) & (n - positions >= min_leaf)
-
-    def feature_gains(f):
-        order = np.argsort(X[:, f], kind="mergesort")
-        xs = X[order, f]
-        cg = np.cumsum(g[order])[:-1]
-        ch = np.cumsum(h[order])[:-1]
-        valid = (xs[:-1] != xs[1:]) & size_ok
-        gains = np.full(n - 1, -np.inf)
-        gl, hl = cg[valid], ch[valid]
+    # cut i falls between the values xs[:, i] and xs[:, i + 1]
+    xs = np.take_along_axis(Xt, order[:, lo - 1 : n - lo + 1], axis=1)
+    head = order[:, : n - lo]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gl = np.cumsum(g[head], axis=1)[:, lo - 1 :]
+        hl = np.cumsum(h[head], axis=1)[:, lo - 1 :]
         gr, hr = gtot - gl, htot - hl
-        gains[valid] = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
-        return xs, gains
-
-    feature_best = np.full(n_features, -np.inf)
-    for f in range(n_features):
-        _, gains = feature_gains(f)
-        if gains.size:
-            feature_best[f] = gains.max()
-
-    best = float(feature_best.max()) if n_features else -np.inf
+        parent = np.float64(gtot) * gtot / (htot + lam)
+        gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
+    gains[xs[:, :-1] == xs[:, 1:]] = -np.inf  # no threshold between equal values
+    best = float(np.fmax.reduce(gains, axis=None))
     if not best > 0.0:
         return -1, 0.0, 0.0
-
     cutoff = best - (GAIN_TIE_REL * abs(best) + GAIN_TIE_ABS)
-    for f in np.nonzero(feature_best >= cutoff)[0]:
-        xs, gains = feature_gains(int(f))
-        hits = np.nonzero((gains >= cutoff) & (gains > 0.0))[0]
-        if hits.size:
-            i = int(hits[0])
-            return int(f), (xs[i] + xs[i + 1]) / 2.0, float(gains[i])
-    return -1, 0.0, 0.0
+    hits = (gains >= cutoff) & (gains > 0.0)
+    if not hits.any():  # an infinite best leaves a NaN cutoff
+        return -1, 0.0, 0.0
+    f, i = divmod(int(hits.argmax()), gains.shape[1])
+    return f, float((xs[f, i] + xs[f, i + 1]) / 2.0), float(gains[f, i])
 
 
 # --------------------------------------------------------------------------
@@ -278,9 +275,7 @@ def _load(path: str):
     lib.memlog_sgns_epoch.argtypes = (
         p, p, i64, p, p, i64, p, i64, i64, f64, f64, i64, i64, p
     )
-    lib.memlog_best_split.argtypes = (p, i64, i64, p, p, f64, i64, f64, f64, p, p, p)
-    for fn in (lib.memlog_sgns_epoch, lib.memlog_best_split):
-        fn.restype = ctypes.c_int
+    lib.memlog_sgns_epoch.restype = ctypes.c_int
     return lib
 
 
@@ -341,31 +336,7 @@ def _sgns_epoch_native(ids, offsets, vin, vout, negatives, window, lr0, lr_floor
     return loss.value
 
 
-def _best_split_native(X, g, h, lam, min_leaf):
-    X = _array("X", X, np.float64, 2)
-    g, h = _array("g", g, np.float64, 1), _array("h", h, np.float64, 1)
-    n, n_features = X.shape
-    if g.shape != (n,) or h.shape != (n,):
-        raise ValueError(f"g {g.shape} and h {h.shape} must both have {n} rows")
-    feature, threshold, gain = ctypes.c_int64(), ctypes.c_double(), ctypes.c_double()
-    status = _native().memlog_best_split(
-        X.ctypes.data, n, n_features, g.ctypes.data, h.ctypes.data, lam,
-        # min_leaf <= 0 admits every split and > n + 1 none, as at the bounds
-        max(0, min(int(min_leaf), n + 1)),
-        GAIN_TIE_REL, GAIN_TIE_ABS,
-        ctypes.byref(feature), ctypes.byref(threshold), ctypes.byref(gain),
-    )
-    if status != 0:
-        raise MemoryError("native split search could not allocate its work buffers")
-    return feature.value, threshold.value, gain.value
-
-
 # --------------------------------------------------------------------------
 # backend binding
 
-if BACKEND == "native":
-    sgns_epoch = _sgns_epoch_native
-    best_split = _best_split_native
-else:
-    sgns_epoch = _sgns_epoch_numpy
-    best_split = _best_split_numpy
+sgns_epoch = _sgns_epoch_native if BACKEND == "native" else _sgns_epoch_numpy

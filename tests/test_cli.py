@@ -4,6 +4,7 @@ Everything here runs the installed entry point in a subprocess, so these
 tests cover argument parsing, config layering, and error mapping exactly
 as a shell user sees them.
 """
+import dataclasses
 import json
 import os
 import signal
@@ -12,6 +13,7 @@ import sys
 import time
 import urllib.request
 
+import numpy as np
 import pytest
 
 CLI = [sys.executable, "-m", "memlog.cli"]
@@ -50,27 +52,42 @@ def damaged_pair(workspace, tmp_path, damage):
     from memlog.vectorizer import LOG_VECTOR_DIM
 
     embeddings, model = workspace["embeddings"], workspace["model"]
-    if damage == "8-dim embeddings":
+    if damage.endswith("embeddings"):
         full = load_embeddings(str(embeddings))
-        narrow = EmbeddingModel(
-            full.vocab, full.input_vectors[:, :8].copy(), full.output_vectors[:, :8].copy(), dim=8
-        )
-        embeddings = tmp_path / "narrow.mleb"
-        save_embeddings(narrow, str(embeddings))
+        if damage == "8-dim embeddings":
+            full = EmbeddingModel(
+                full.vocab, full.input_vectors[:, :8].copy(), full.output_vectors[:, :8].copy(),
+                dim=8,
+            )
+        else:
+            full.input_vectors[0, 0] = np.nan
+        embeddings = tmp_path / "damaged.mleb"
+        save_embeddings(full, str(embeddings))
         return embeddings, model
     loaded = load_model(str(model))
     tree = loaded.trees[0]
     assert tree.features[0] >= 0  # node 0 splits
     if damage == "cyclic tree":
         tree.lefts[0] = 0
-    else:
+    elif damage == "feature out of range":
         tree.features[0] = LOG_VECTOR_DIM
+    elif damage == "NaN leaf":
+        tree.values[np.flatnonzero(tree.features < 0)[0]] = np.nan
+    elif damage == "infinite threshold":
+        tree.thresholds[0] = np.inf
+    else:
+        loaded = dataclasses.replace(
+            loaded, params=dataclasses.replace(loaded.params, shrinkage=np.nan)
+        )
     model = tmp_path / "damaged.mlgb"
     save_model(loaded, str(model))
     return embeddings, model
 
 
-DAMAGES = ["cyclic tree", "8-dim embeddings", "feature out of range"]
+DAMAGES = [
+    "cyclic tree", "8-dim embeddings", "feature out of range",
+    "NaN leaf", "infinite threshold", "NaN shrinkage", "NaN embeddings",
+]
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +148,16 @@ class TestParsing:
     def test_threshold_domain_is_usage_error(self, workspace):
         result = run_cli("train", "--corpus", workspace["corpus"], "--threshold", "1.0")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "0"), ("--lr", "nan"), ("--lr", "-0.1"),
+        ("--shrinkage", "0"), ("--shrinkage", "nan"), ("--shrinkage", "inf"),
+        ("--lambda", "-1"), ("--lambda", "nan"), ("--lambda", "inf"),
+    ])
+    def test_numeric_training_flag_domain_is_usage_error(self, workspace, flag, value):
+        result = run_cli("train", "--corpus", workspace["corpus"], flag, value)
+        assert result.returncode == 2, result.stderr
+        assert flag in result.stderr
 
 
 class TestGen:

@@ -15,6 +15,7 @@ import struct
 import numpy as np
 import pytest
 
+from memlog import kernels
 from memlog.errors import (
     BadMagic,
     CorruptPayload,
@@ -229,6 +230,27 @@ class TestSplitOracle:
         rng = np.random.default_rng(72)
         X, y = random_dataset(rng, n_rows=80, n_features=6)
         replay_and_check(X, y, GbdtParams(trees=3))
+
+    def test_every_node_gets_the_stable_sort_of_its_rows(self, monkeypatch):
+        # The fit sorts once; each node's order must still be exactly a fresh
+        # stable argsort of its rows, and its totals sums in ascending row
+        # order, or prefix sums would round differently from a per-node sort.
+        search = kernels.best_split
+        nodes = []
+
+        def checked(order, Xt, g, h, gtot, htot, lam, min_leaf):
+            rows = np.sort(order[0])
+            assert np.array_equal(order, rows[np.argsort(Xt[:, rows], axis=1, kind="stable")])
+            assert (gtot, htot) == (np.cumsum(g[rows])[-1], np.cumsum(h[rows])[-1])
+            nodes.append(rows.size)
+            return search(order, Xt, g, h, gtot, htot, lam, min_leaf)
+
+        monkeypatch.setattr(kernels, "best_split", checked)
+        rng = np.random.default_rng(74)
+        for _ in range(6):
+            X, y = random_dataset(rng, n_rows=int(rng.integers(40, 120)))
+            train_classifier(np.round(X, 1), y, GbdtParams(trees=3, max_depth=4, min_leaf=2))
+        assert len(nodes) > 6 * 3 and min(nodes) < 40
 
     def test_duplicated_feature_ties_to_lower_index(self):
         # Identical columns produce identical gains; the tie band must

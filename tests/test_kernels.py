@@ -1,14 +1,16 @@
-"""The training kernels: the numpy references against the math, and the
-native kernels against the numpy references, bit for bit.
+"""The training kernels against the math, and the native skip-gram epoch
+against its numpy reference, bit for bit.
 
-Both implementations of a kernel accumulate in the same order, so the
-parity comparisons are exact.  Tree inference has one implementation, a
-plain Python walk; ``tests/test_gbdt.py`` checks it against per-tree
-routing.
+The split search has one implementation, checked against the exhaustive
+oracle of ``tests/test_gbdt.py``.  Both skip-gram implementations
+accumulate in the same order, so their parity comparisons are exact.
+Tree inference has one implementation, a plain Python walk;
+``tests/test_gbdt.py`` checks it against per-tree routing.
 """
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +54,14 @@ def split_inputs(seed, n=80, d=5):
     return X, g, h
 
 
+def root_split(X, g, h, lam, min_leaf):
+    """``kernels.best_split`` on a root node holding every row of ``X``."""
+    Xt = np.ascontiguousarray(X.T)
+    order = np.argsort(Xt, axis=1, kind="stable")
+    gtot, htot = float(np.cumsum(g)[-1]), float(np.cumsum(h)[-1])
+    return kernels.best_split(order, Xt, g, h, gtot, htot, lam, min_leaf)
+
+
 # Trains and scores a tiny pipeline through the public kernels and asserts
 # that the numpy fallbacks ran and the native library was never loaded.
 PIPELINE_CODE = """
@@ -65,7 +75,6 @@ from memlog.vectorizer import vectorize_corpus
 
 assert kernels.BACKEND == 'numpy', kernels.BACKEND
 assert kernels.sgns_epoch is kernels._sgns_epoch_numpy
-assert kernels.best_split is kernels._best_split_numpy
 logs = generate_corpus(GenSpec(n_malicious=8, n_benign=8, overlap=0.0, seed=3))
 grouped = [tokenize(log) for log in logs]
 embeddings = train_embeddings(grouped, build_vocab(grouped), Hyperparams(epochs=1, seed=3))
@@ -87,10 +96,9 @@ class TestBackendSelection:
 
     def test_public_names_bind_to_backend(self):
         if kernels.BACKEND == "native":
-            assert kernels.best_split is kernels._best_split_native
             assert kernels.sgns_epoch is kernels._sgns_epoch_native
         else:
-            assert kernels.best_split is kernels._best_split_numpy
+            assert kernels.sgns_epoch is kernels._sgns_epoch_numpy
 
     def test_no_compiler_falls_back_to_numpy(self, tmp_path):
         empty_bin = tmp_path / "bin"
@@ -113,24 +121,26 @@ class TestSplitParity:
         # an exact tie inside one feature: thresholds 0.5 and 2.5 both gain 0.375
         cases.append((np.arange(4.0)[:, None], np.array([1.0, -1.0, -1.0, 1.0]), np.ones(4), 1))
         for X, g, h, min_leaf in cases:
-            feature, threshold, _ = kernels._best_split_numpy(X, g, h, 1.0, min_leaf)
+            feature, threshold, _ = root_split(X, g, h, 1.0, min_leaf)
             assert (feature, threshold) == oracle_best_split(X, g, h, 1.0, min_leaf)[:2]
 
-    @pytest.mark.skipif(kernels.BACKEND != "native", reason="native backend inactive")
-    def test_compiled_matches_python_source(self):
-        for seed in range(10):
-            X, g, h = split_inputs(seed, n=60, d=4)
-            assert kernels._best_split_native(X, g, h, 1.0, 3) == kernels._best_split_numpy(
-                X, g, h, 1.0, 3
-            )
-
     def test_degenerate_inputs(self):
-        X = np.full((20, 3), 1.0)
-        g = np.linspace(-1, 1, 20)
-        h = np.full(20, 0.25)
-        assert kernels._best_split_numpy(X, g, h, 1.0, 5) == (-1, 0.0, 0.0)
-        tiny = np.random.default_rng(0).normal(size=(4, 2))
-        assert kernels._best_split_numpy(tiny, g[:4], h[:4], 1.0, 5) == (-1, 0.0, 0.0)
+        X, g, h = split_inputs(5, n=20, d=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            # constant columns have no threshold
+            assert root_split(np.full((20, 3), 1.0), g, h, 1.0, 5) == (-1, 0.0, 0.0)
+            # fewer than 2 * min_leaf rows
+            assert root_split(X[:9], g[:9], h[:9], 1.0, 5) == (-1, 0.0, 0.0)
+            assert root_split(X[:1], g[:1], h[:1], 1.0, 0) == (-1, 0.0, 0.0)
+            # no features
+            assert root_split(X[:, :0], g, h, 1.0, 1) == (-1, 0.0, 0.0)
+            # no regularization: same split as the oracle ...
+            for leaf in (1, 5):
+                feature, threshold, _ = root_split(X, g, h, 0.0, leaf)
+                assert (feature, threshold) == oracle_best_split(X, g, h, 0.0, leaf)[:2]
+            # ... and zero hessians make every gain NaN, which never wins
+            assert root_split(X, g, np.zeros(20), 0.0, 1) == (-1, 0.0, 0.0)
 
 
 IMPLS = [
@@ -245,17 +255,10 @@ class TestNativeInputChecks:
         with pytest.raises(ValueError):
             self.epoch(offsets=offsets[::-1].copy())
 
-    def test_split_rejects_mismatched_rows(self):
-        X, g, h = split_inputs(45)
-        with pytest.raises(ValueError):
-            kernels._best_split_native(X, g[:-1], h, 1.0, 3)
-        with pytest.raises(TypeError):
-            kernels._best_split_native(X.astype(np.complex128), g, h, 1.0, 3)
-
 
 class TestBenchmarkScript:
     def test_parity_checks_pass_on_a_small_workload(self):
-        # benchmarks/bench_kernels.py asserts backend parity before timing
+        # benchmarks/bench_kernels.py asserts skip-gram backend parity before timing
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
