@@ -98,23 +98,13 @@ def _bind_address(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _load_config(args: argparse.Namespace) -> dict[str, str]:
-    path = getattr(args, "config", None)
-    if path is None:
-        return {}
+def _read_config(parser: argparse.ArgumentParser, path: str) -> dict[str, str]:
     try:
         return parse_config(path)
     except OSError as exc:
         raise ModelLoadFailure(f"cannot read config: {exc}") from exc
-
-
-def _setting(args: argparse.Namespace, name: str, config: dict, key: str, default, cast):
-    """Flag beats config file beats built-in default."""
-    if hasattr(args, name):
-        return getattr(args, name)
-    if key in config:
-        return cast(config[key])
-    return default
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _emit(payload: dict) -> None:
@@ -266,17 +256,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from .service import load_detector, make_server, serve_until_signal
 
-    config = _load_config(args)
-    host, port = _setting(args, "bind", config, "bind", ("127.0.0.1", 8787), _bind_address)
-    embeddings_path = _setting(args, "embeddings", config, "embeddings", None, str)
-    model_path = _setting(args, "model", config, "model", None, str)
-    threshold = _setting(args, "threshold", config, "threshold", 0.75, _open_unit_interval)
-    audit_path = _setting(args, "audit", config, "audit", None, str)
-    if embeddings_path is None or model_path is None:
+    if args.embeddings is None or args.model is None:
         raise ModelLoadFailure("serve requires --embeddings and --model (or config keys)")
 
-    detector = load_detector(embeddings_path, model_path, threshold, audit_path)
-    server = make_server(detector, host, port)
+    detector = load_detector(args.embeddings, args.model, args.threshold, args.audit)
+    server = make_server(detector, *args.bind)
     bound_host, bound_port = server.server_address[:2]
 
     def announce() -> None:
@@ -289,23 +273,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_agent(args: argparse.Namespace) -> int:
     from .agent import AgentConfig, RetryPolicy, resolve_server, run_agent
 
-    config = _load_config(args)
-    watch_dir = _setting(args, "watch", config, "watch_dir", None, str)
-    server_url = _setting(args, "server", config, "server_url", None, str)
-    if watch_dir is None:
+    if args.watch_dir is None:
         raise WatchDirMissing("agent requires --watch (or config key watch_dir)")
-    server_url = resolve_server(server_url or "")
+    server_url = resolve_server(args.server_url or "")
     if not server_url:
         raise BindFailure("agent requires --server, config key server_url, or MEMLOG_SERVER")
     run_agent(
         AgentConfig(
-            watch_dir=watch_dir,
+            watch_dir=args.watch_dir,
             server_url=server_url,
-            poll_interval_ms=_setting(args, "poll_ms", config, "poll_interval_ms", 500, int),
-            retry=RetryPolicy(
-                max_attempts=_setting(args, "max_attempts", config, "max_attempts", 3, int),
-                backoff_base_ms=_setting(args, "backoff_ms", config, "backoff_base_ms", 100, int),
-            ),
+            poll_interval_ms=args.poll_interval_ms,
+            retry=RetryPolicy(args.max_attempts, args.backoff_base_ms),
             drain=args.drain,
         )
     )
@@ -316,7 +294,18 @@ def cmd_agent(args: argparse.Namespace) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; ``config`` values become defaults of the serve/agent flags they name.
+
+    A default given as a string goes through the flag's ``type``, so a
+    config value meets the same checks as the flag, and a flag still wins.
+    """
+    config = config or {}
+
+    def takes_config(subparser: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
+        subparser.add_argument("--config", help=f"key=value file with keys {', '.join(keys)}")
+        subparser.set_defaults(**{key: config[key] for key in keys if key in config})
+
     parser = argparse.ArgumentParser(
         prog="memlog",
         description="Runtime-log malware detection pipeline: generate, train, evaluate, serve.",
@@ -326,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=1, help="global random seed")
-    common.add_argument("--config", help="key=value config file")
 
     gen = sub.add_parser("gen", parents=[common], help="write a synthetic labeled corpus")
     gen.add_argument("--out", required=True, help="output directory")
@@ -378,33 +366,39 @@ def build_parser() -> argparse.ArgumentParser:
     predict.set_defaults(func=cmd_predict)
 
     serve = sub.add_parser("serve", parents=[common], help="run the detection service")
-    serve.add_argument("--bind", type=_bind_address, default=argparse.SUPPRESS,
-                       help="host:port (default 127.0.0.1:8787)")
-    serve.add_argument("--embeddings", default=argparse.SUPPRESS)
-    serve.add_argument("--model", default=argparse.SUPPRESS)
-    serve.add_argument("--threshold", type=_open_unit_interval, default=argparse.SUPPRESS)
-    serve.add_argument("--audit", default=argparse.SUPPRESS, help="audit JSON-lines path")
+    serve.add_argument("--bind", type=_bind_address, default="127.0.0.1:8787",
+                       help="host:port (default %(default)s)")
+    serve.add_argument("--embeddings")
+    serve.add_argument("--model")
+    serve.add_argument("--threshold", type=_open_unit_interval, default=0.75)
+    serve.add_argument("--audit", help="audit JSON-lines path")
+    takes_config(serve, ("bind", "embeddings", "model", "threshold", "audit"))
     serve.set_defaults(func=cmd_serve)
 
     agent = sub.add_parser("agent", parents=[common], help="watch a directory and ship logs")
-    agent.add_argument("--watch", default=argparse.SUPPRESS, help="directory to watch")
-    agent.add_argument("--server", default=argparse.SUPPRESS,
+    agent.add_argument("--watch", dest="watch_dir", help="directory to watch")
+    agent.add_argument("--server", dest="server_url",
                        help="detector base URL (MEMLOG_SERVER overrides)")
-    agent.add_argument("--poll-ms", dest="poll_ms", type=_positive_int, default=argparse.SUPPRESS)
-    agent.add_argument("--max-attempts", dest="max_attempts", type=_positive_int,
-                       default=argparse.SUPPRESS)
-    agent.add_argument("--backoff-ms", dest="backoff_ms", type=_non_negative_int,
-                       default=argparse.SUPPRESS)
+    agent.add_argument("--poll-ms", dest="poll_interval_ms", type=_positive_int, default=500)
+    agent.add_argument("--max-attempts", type=_positive_int, default=3)
+    agent.add_argument("--backoff-ms", dest="backoff_base_ms", type=_non_negative_int,
+                       default=100)
     agent.add_argument("--drain", action="store_true",
                        help="exit once the backlog is empty instead of polling")
+    takes_config(
+        agent, ("watch_dir", "server_url", "poll_interval_ms", "max_attempts", "backoff_base_ms")
+    )
     agent.set_defaults(func=cmd_agent)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None) is not None:
+            args = build_parser(_read_config(parser, args.config)).parse_args(argv)
         return args.func(args)
     except MemlogError as exc:
         print(f"error: {exc}", file=sys.stderr)

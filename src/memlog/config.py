@@ -1,9 +1,10 @@
 """Flat key=value config files shared by the service and the agent.
 
-Format: one ``key = value`` pair per line, ``#`` comments, blank lines
-ignored.  Values keep their string form; callers coerce.  Surrounding
-single or double quotes on a value are stripped so paths with spaces
-survive.  Stdlib only: the agent process imports this module and has a
+Format: one ``key = value`` pair per line, blank lines ignored.  ``#``
+starts a comment anywhere on a line, even inside quotes.  Values keep
+their string form; the CLI checks each like the flag it stands for.
+Surrounding single or double quotes on a value are stripped so paths with
+spaces survive.  Stdlib only: the agent process imports this module and has a
 hard memory budget that rules out heavier parsers.
 """
 from __future__ import annotations

@@ -16,7 +16,7 @@ generator, so identical corpus and seed reproduce the model bit for bit.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -55,10 +55,9 @@ class Hyperparams:
 class Vocabulary:
     """Token ids ordered by descending frequency, ties broken lexicographically."""
 
-    def __init__(self, tokens: Sequence[str], frequencies: Sequence[int], min_count: int = 1):
+    def __init__(self, tokens: Sequence[str], frequencies: Sequence[int]):
         self.tokens = list(tokens)
         self.frequencies = np.asarray(frequencies, dtype=np.uint64)
-        self.min_count = min_count
         self.index = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):
             raise VocabMismatch("vocabulary contains duplicate tokens")
@@ -72,31 +71,32 @@ class Vocabulary:
         return token in self.index
 
     def __eq__(self, other) -> bool:
-        # min_count is build-time metadata; identity is tokens + counts.
         if not isinstance(other, Vocabulary):
             return NotImplemented
         return self.tokens == other.tokens and np.array_equal(self.frequencies, other.frequencies)
 
     def __repr__(self) -> str:
-        return f"Vocabulary({len(self.tokens)} tokens, min_count={self.min_count})"
+        return f"Vocabulary({len(self.tokens)} tokens)"
 
 
 @dataclass(eq=False)
 class EmbeddingModel:
+    """What the embeddings file stores: the vocabulary and both vector matrices."""
+
     vocab: Vocabulary
     input_vectors: np.ndarray
     output_vectors: np.ndarray
-    dim: int = EMBEDDING_DIM
-    hyperparams: Hyperparams = field(default_factory=Hyperparams)
+
+    @property
+    def dim(self) -> int:
+        return self.input_vectors.shape[1]
 
     def __eq__(self, other) -> bool:
-        # Bit-exact identity over the persisted state; hyperparams are
-        # training-time metadata and do not affect inference.
+        # Bit-exact identity over the persisted state.
         if not isinstance(other, EmbeddingModel):
             return NotImplemented
         return (
             self.vocab == other.vocab
-            and self.dim == other.dim
             and self.input_vectors.shape == other.input_vectors.shape
             and self.output_vectors.shape == other.output_vectors.shape
             and self.input_vectors.tobytes() == other.input_vectors.tobytes()
@@ -115,7 +115,7 @@ def build_vocab(corpus: Iterable[GroupedTokens], min_count: int = 2) -> Vocabula
     if not kept:
         raise EmptyCorpus(f"no token reaches min_count={min_count}")
     kept.sort(key=lambda item: (-item[1], item[0]))
-    return Vocabulary([t for t, _ in kept], [n for _, n in kept], min_count)
+    return Vocabulary([t for t, _ in kept], [n for _, n in kept])
 
 
 def _sentences(corpus: Iterable[GroupedTokens], vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +187,7 @@ def train_embeddings(
                 total_pairs,
             )
 
-    return EmbeddingModel(vocab, vin, vout, EMBEDDING_DIM, hp)
+    return EmbeddingModel(vocab, vin, vout)
 
 
 # --------------------------------------------------------------------------
@@ -299,4 +299,4 @@ def load_embeddings(path: str) -> EmbeddingModel:
         vocab = Vocabulary(tokens, freqs)
     except VocabMismatch as exc:
         raise CorruptPayload(str(exc)) from None
-    return EmbeddingModel(vocab, vin, vout, dim)
+    return EmbeddingModel(vocab, vin, vout)

@@ -10,7 +10,8 @@ Splits are exact greedy over sorted unique feature values with gain
 
     1/2 * (GL^2/(HL+lam) + GR^2/(HR+lam) - G^2/(H+lam))
 
-and leaf weight -G/(H+lam), scaled by shrinkage when added to F.  Splits
+and leaf weight -G/(H+lam), scaled by shrinkage when added to F; a leaf
+with H+lam == 0 (lambda 0, every margin saturated) weighs 0.  Splits
 with non-positive gain or a child below min_leaf rows are rejected; ties
 resolve to the lowest feature index, then the lowest threshold.  Training
 asserts after every round that the training log-loss has not increased.
@@ -18,6 +19,11 @@ asserts after every round that the training log-loss has not increased.
 The features never change across rounds, so each column is sorted once
 per fit.  Every node receives its rows in that per-feature order, and a
 split filters it into the children's orders, so no node sorts again.
+
+A tree is one array of ``_NODE`` records, the model file's own node
+layout, so saving writes each tree's bytes and loading reads them back
+with no per-node step.  The array is read-only: a model never changes
+after it is built or loaded.
 """
 from __future__ import annotations
 
@@ -56,30 +62,28 @@ class GbdtParams:
     min_leaf: int = 5
 
 
-@dataclass
+#: One tree node, in memory and in the model file: packed little-endian
+#: (i32 feature, f64 threshold, i32 left, i32 right, f64 value), 28 bytes.
+#: ``feature < 0`` marks a leaf; ``left`` and ``right`` index the same tree.
+_NODE = np.dtype(
+    [("feature", "<i4"), ("threshold", "<f8"), ("left", "<i4"), ("right", "<i4"), ("value", "<f8")]
+)
+
+
+@dataclass(frozen=True, eq=False)
 class RegressionTree:
-    """One tree as parallel node arrays in preorder; features[i] < 0 marks a leaf."""
+    """One tree as a read-only copy of its ``_NODE`` records, in preorder."""
 
-    features: np.ndarray
-    thresholds: np.ndarray
-    lefts: np.ndarray
-    rights: np.ndarray
-    values: np.ndarray
+    nodes: np.ndarray
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RegressionTree):
-            return NotImplemented
-        return (
-            np.array_equal(self.features, other.features)
-            and self.thresholds.tobytes() == other.thresholds.tobytes()
-            and np.array_equal(self.lefts, other.lefts)
-            and np.array_equal(self.rights, other.rights)
-            and self.values.tobytes() == other.values.tobytes()
-        )
+    def __post_init__(self):
+        nodes = np.array(self.nodes, dtype=_NODE)
+        nodes.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
 
     @property
     def node_count(self) -> int:
-        return len(self.features)
+        return len(self.nodes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,14 +95,15 @@ class GbdtModel:
     trees: tuple[RegressionTree, ...] = ()
     #: Training log-loss after round 0 (base score) through the last round.
     training_loss: tuple[float, ...] = ()
-    #: The forest as the parallel node lists :func:`kernels.predict_margin` walks.
+    #: Each tree as the node column lists :func:`kernels.predict_margin` walks.
     _forest: tuple = field(init=False, repr=False)
     _version: str = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "trees", tuple(self.trees))
         object.__setattr__(self, "training_loss", tuple(self.training_loss))
-        object.__setattr__(self, "_forest", _flatten(self.trees))
+        forest = tuple(tuple(t.nodes[name].tolist() for name in _NODE.names) for t in self.trees)
+        object.__setattr__(self, "_forest", forest)
         digest = hashlib.sha256(_serialize(self)).hexdigest()[:8]
         object.__setattr__(self, "_version", f"{MODEL_VERSION}-{digest}")
 
@@ -106,14 +111,7 @@ class GbdtModel:
         # Persisted identity: everything the model file stores.
         if not isinstance(other, GbdtModel):
             return NotImplemented
-        return (
-            struct.pack("<d", self.base_score) == struct.pack("<d", other.base_score)
-            and self.params.trees == other.params.trees
-            and self.params.max_depth == other.params.max_depth
-            and self.params.shrinkage == other.params.shrinkage
-            and self.params.lambda_ == other.params.lambda_
-            and self.trees == other.trees
-        )
+        return _serialize(self) == _serialize(other)
 
     @property
     def version(self) -> str:
@@ -148,24 +146,13 @@ class _TreeBuilder:
         self.g = g
         self.h = h
         self.params = params
-        self.features: list[int] = []
-        self.thresholds: list[float] = []
-        self.lefts: list[int] = []
-        self.rights: list[int] = []
-        self.values: list[float] = []
+        self.nodes: list[tuple] = []
         self.leaf_of_row = np.zeros(Xt.shape[1], dtype=np.int64)
-
-    def _emit(self) -> int:
-        self.features.append(-1)
-        self.thresholds.append(0.0)
-        self.lefts.append(-1)
-        self.rights.append(-1)
-        self.values.append(0.0)
-        return len(self.features) - 1
 
     def build(self, rows: np.ndarray, order: np.ndarray, depth: int) -> int:
         """Grow the node holding ``rows`` (ascending); ``order`` is their per-feature sort."""
-        node = self._emit()
+        node = len(self.nodes)
+        self.nodes.append(None)  # preorder: the node's index comes before its children's
         lam = self.params.lambda_
         g_sum = float(np.cumsum(self.g[rows])[-1]) if rows.size else 0.0
         h_sum = float(np.cumsum(self.h[rows])[-1]) if rows.size else 0.0
@@ -174,32 +161,25 @@ class _TreeBuilder:
                 order, self.Xt, self.g, self.h, g_sum, h_sum, lam, self.params.min_leaf
             )
             if feature >= 0:
-                self.features[node] = int(feature)
-                self.thresholds[node] = float(threshold)
                 goes_left = self.Xt[feature] < threshold
                 go_left = goes_left[rows]
                 n_left = int(go_left.sum())
                 # filtering each feature's order keeps it sorted: the children need no sort
                 left = goes_left[order]
-                self.lefts[node] = self.build(
-                    rows[go_left], order[left].reshape(-1, n_left), depth + 1
-                )
-                self.rights[node] = self.build(
+                left_child = self.build(rows[go_left], order[left].reshape(-1, n_left), depth + 1)
+                right_child = self.build(
                     rows[~go_left], order[~left].reshape(-1, rows.size - n_left), depth + 1
                 )
+                self.nodes[node] = (feature, threshold, left_child, right_child, 0.0)
                 return node
-        self.values[node] = -g_sum / (h_sum + lam)
+        # a leaf whose rows all have saturated margins has no curvature at lambda 0
+        value = -g_sum / (h_sum + lam) if h_sum + lam else 0.0
+        self.nodes[node] = (-1, 0.0, -1, -1, value)
         self.leaf_of_row[rows] = node
         return node
 
     def finish(self) -> RegressionTree:
-        return RegressionTree(
-            features=np.asarray(self.features, dtype=np.int32),
-            thresholds=np.asarray(self.thresholds, dtype=np.float64),
-            lefts=np.asarray(self.lefts, dtype=np.int32),
-            rights=np.asarray(self.rights, dtype=np.int32),
-            values=np.asarray(self.values, dtype=np.float64),
-        )
+        return RegressionTree(np.array(self.nodes, dtype=_NODE))
 
 
 def train_classifier(X: np.ndarray, y: np.ndarray, params: GbdtParams | None = None) -> GbdtModel:
@@ -234,7 +214,7 @@ def train_classifier(X: np.ndarray, y: np.ndarray, params: GbdtParams | None = N
         builder.build(all_rows, order, 0)
         tree = builder.finish()
         trees.append(tree)
-        margins += params.shrinkage * tree.values[builder.leaf_of_row]
+        margins += params.shrinkage * tree.nodes["value"][builder.leaf_of_row]
         loss = log_loss(margins, y)
         previous = losses[-1]
         if loss > previous + _LOSS_INCREASE_TOL:
@@ -246,25 +226,9 @@ def train_classifier(X: np.ndarray, y: np.ndarray, params: GbdtParams | None = N
     return GbdtModel(base_score=base_score, params=params, trees=trees, training_loss=losses)
 
 
-def _flatten(trees: tuple[RegressionTree, ...]) -> tuple[list, ...]:
-    """Concatenate trees into parallel node lists, children offset to match."""
-    features, thresholds, lefts, rights, values, roots = [], [], [], [], [], []
-    for tree in trees:
-        offset = len(features)
-        roots.append(offset)
-        features += tree.features.tolist()
-        thresholds += tree.thresholds.tolist()
-        lefts += [child + offset if child >= 0 else -1 for child in tree.lefts.tolist()]
-        rights += [child + offset if child >= 0 else -1 for child in tree.rights.tolist()]
-        values += tree.values.tolist()
-    return features, thresholds, lefts, rights, values, roots
-
-
 def predict_margin(model: GbdtModel, X: np.ndarray) -> np.ndarray:
     rows = _validate_features(X).tolist()
-    margins = kernels.predict_margin(
-        *model._forest, rows, model.base_score, model.params.shrinkage
-    )
+    margins = kernels.predict_margin(model._forest, rows, model.base_score, model.params.shrinkage)
     return np.array(margins, dtype=np.float64)
 
 
@@ -290,11 +254,10 @@ def classify(score: float, threshold: float = DEFAULT_THRESHOLD) -> Label:
 #
 # Layout (little-endian): magic "MLGB", u32 version, u64 tree count,
 # u64 max_depth, f64 shrinkage, f64 lambda, f64 base_score, then each
-# tree as u32 node count followed by preorder nodes of
-# (i32 feature, f64 threshold, i32 left, i32 right, f64 value).
+# tree as u32 node count followed by its ``_NODE`` records, the bytes of
+# ``RegressionTree.nodes``.
 
 _HEADER = struct.Struct("<QQddd")
-_NODE = struct.Struct("<idiid")
 
 
 def _serialize(model: GbdtModel) -> bytes:
@@ -310,17 +273,7 @@ def _serialize(model: GbdtModel) -> bytes:
         ),
     ]
     for tree in model.trees:
-        parts.append(struct.pack("<I", tree.node_count))
-        for i in range(tree.node_count):
-            parts.append(
-                _NODE.pack(
-                    int(tree.features[i]),
-                    float(tree.thresholds[i]),
-                    int(tree.lefts[i]),
-                    int(tree.rights[i]),
-                    float(tree.values[i]),
-                )
-            )
+        parts += (struct.pack("<I", tree.node_count), tree.nodes.tobytes())
     return b"".join(parts)
 
 
@@ -350,23 +303,23 @@ def load_model(path: str) -> GbdtModel:
             raise CorruptPayload(f"tree {t} is truncated")
         (node_count,) = struct.unpack_from("<I", blob, pos)
         pos += 4
-        if node_count == 0 or pos + node_count * _NODE.size > len(blob):
+        if node_count == 0 or pos + node_count * _NODE.itemsize > len(blob):
             raise CorruptPayload(f"tree {t} node array is truncated")
-        features = np.zeros(node_count, dtype=np.int32)
-        thresholds = np.zeros(node_count, dtype=np.float64)
-        lefts = np.zeros(node_count, dtype=np.int32)
-        rights = np.zeros(node_count, dtype=np.int32)
-        values = np.zeros(node_count, dtype=np.float64)
-        for i in range(node_count):
-            f, thr, le, ri, val = _NODE.unpack_from(blob, pos)
-            pos += _NODE.size
-            # preorder puts every child after its parent, which rules out cycles
-            if f >= 0 and not (i < le < node_count and i < ri < node_count):
-                raise CorruptPayload(f"tree {t} node {i} has a child out of range or not after it")
-            features[i], thresholds[i], lefts[i], rights[i], values[i] = f, thr, le, ri, val
-        if not (np.isfinite(thresholds).all() and np.isfinite(values).all()):
+        nodes = np.frombuffer(blob, _NODE, count=node_count, offset=pos)
+        pos += nodes.nbytes
+        # preorder puts every child after its parent, which rules out cycles
+        index = np.arange(node_count)
+        left, right = nodes["left"], nodes["right"]
+        bad = (nodes["feature"] >= 0) & ~(
+            (index < left) & (left < node_count) & (index < right) & (right < node_count)
+        )
+        if bad.any():
+            raise CorruptPayload(
+                f"tree {t} node {bad.argmax()} has a child out of range or not after it"
+            )
+        if not (np.isfinite(nodes["threshold"]).all() and np.isfinite(nodes["value"]).all()):
             raise CorruptPayload(f"tree {t} has a non-finite threshold or leaf value")
-        trees.append(RegressionTree(features, thresholds, lefts, rights, values))
+        trees.append(RegressionTree(nodes))
     if pos != len(blob):
         raise CorruptPayload(f"{len(blob) - pos} trailing bytes after the last tree")
 

@@ -184,21 +184,23 @@ def best_split(order, Xt, g, h, gtot, htot, lam, min_leaf):
 # --------------------------------------------------------------------------
 # boosted-tree inference
 #
-# A forest is flattened into parallel node lists; ``features[node] < 0``
-# marks a leaf.  Margin = base + shrinkage * sum of leaf values, trees
-# visited in training order.  Callers score one row (the service) or a few
-# hundred (``train``, ``evaluate``), where this plain walk takes about a
-# millisecond, so it is the only implementation.  It trusts the forest:
-# ``gbdt.load_model`` rejects out-of-range and backward children, so every
-# walk ends at a leaf.
+# A forest is one tuple per tree of its node columns as lists, in the
+# order of ``gbdt._NODE``: (features, thresholds, lefts, rights, values);
+# ``features[node] < 0`` marks a leaf and every walk starts at node 0.
+# Margin = base + shrinkage * sum of leaf values, trees visited in training
+# order.  Callers score one row (the service) or a few hundred (``train``,
+# ``evaluate``), where this plain walk takes about a millisecond, so it is
+# the only implementation.  It trusts the forest: ``gbdt.load_model``
+# rejects out-of-range and backward children, so every walk ends at a leaf.
 
 
-def predict_margin(features, thresholds, lefts, rights, values, roots, rows, base, shrinkage):
+def predict_margin(forest, rows, base, shrinkage):
     """Margins of ``rows`` (lists of floats), as a list."""
     out = []
     for row in rows:
         margin = base
-        for node in roots:
+        for features, thresholds, lefts, rights, values in forest:
+            node = 0
             while features[node] >= 0:
                 node = lefts[node] if row[features[node]] < thresholds[node] else rights[node]
             margin += shrinkage * values[node]

@@ -150,7 +150,7 @@ def load_detector(
         raise ModelLoadFailure(
             f"{embeddings_path} has {embeddings.dim}-dim embeddings, expected {EMBEDDING_DIM}"
         )
-    top_feature = max((int(tree.features.max()) for tree in model.trees), default=-1)
+    top_feature = max((int(tree.nodes["feature"].max()) for tree in model.trees), default=-1)
     if top_feature >= LOG_VECTOR_DIM:
         raise ModelLoadFailure(
             f"{model_path} splits on feature {top_feature}, but log vectors have "

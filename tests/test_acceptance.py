@@ -252,7 +252,6 @@ def test_criterion_07_format_round_trips(tmp_path):
                 vocab,
                 rng.standard_normal((size, dim), dtype=np.float32),
                 rng.standard_normal((size, dim), dtype=np.float32),
-                dim,
             )
             path = tmp_path / "emb.mleb"
             save_embeddings(model, str(path))

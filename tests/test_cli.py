@@ -44,11 +44,20 @@ assert cli.main(sys.argv[1:]) == 0
 assert kernels._lib is None
 """
 
+# Runs ``memlog agent`` in-process with ``run_agent`` replaced by a printer
+# of the AgentConfig it would have run.
+AGENT_CONFIG_CODE = """
+import dataclasses, json, sys
+from memlog import agent, cli
+agent.run_agent = lambda config: print(json.dumps(dataclasses.asdict(config)))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
 
 def damaged_pair(workspace, tmp_path, damage):
     """The workspace models with one file damaged so that load_detector must refuse them."""
     from memlog.embedding import EmbeddingModel, load_embeddings, save_embeddings
-    from memlog.gbdt import load_model, save_model
+    from memlog.gbdt import RegressionTree, load_model, save_model
     from memlog.vectorizer import LOG_VECTOR_DIM
 
     embeddings, model = workspace["embeddings"], workspace["model"]
@@ -56,29 +65,31 @@ def damaged_pair(workspace, tmp_path, damage):
         full = load_embeddings(str(embeddings))
         if damage == "8-dim embeddings":
             full = EmbeddingModel(
-                full.vocab, full.input_vectors[:, :8].copy(), full.output_vectors[:, :8].copy(),
-                dim=8,
+                full.vocab, full.input_vectors[:, :8].copy(), full.output_vectors[:, :8].copy()
             )
         else:
-            full.input_vectors[0, 0] = np.nan
+            vectors = full.input_vectors.copy()
+            vectors[0, 0] = np.nan
+            full = EmbeddingModel(full.vocab, vectors, full.output_vectors)
         embeddings = tmp_path / "damaged.mleb"
         save_embeddings(full, str(embeddings))
         return embeddings, model
     loaded = load_model(str(model))
-    tree = loaded.trees[0]
-    assert tree.features[0] >= 0  # node 0 splits
+    params, nodes = loaded.params, loaded.trees[0].nodes.copy()  # a loaded model is read-only
+    assert nodes["feature"][0] >= 0  # node 0 splits
     if damage == "cyclic tree":
-        tree.lefts[0] = 0
+        nodes["left"][0] = 0
     elif damage == "feature out of range":
-        tree.features[0] = LOG_VECTOR_DIM
+        nodes["feature"][0] = LOG_VECTOR_DIM
     elif damage == "NaN leaf":
-        tree.values[np.flatnonzero(tree.features < 0)[0]] = np.nan
+        nodes["value"][np.flatnonzero(nodes["feature"] < 0)[0]] = np.nan
     elif damage == "infinite threshold":
-        tree.thresholds[0] = np.inf
+        nodes["threshold"][0] = np.inf
     else:
-        loaded = dataclasses.replace(
-            loaded, params=dataclasses.replace(loaded.params, shrinkage=np.nan)
-        )
+        params = dataclasses.replace(params, shrinkage=np.nan)
+    loaded = dataclasses.replace(
+        loaded, params=params, trees=(RegressionTree(nodes), *loaded.trees[1:])
+    )
     model = tmp_path / "damaged.mlgb"
     save_model(loaded, str(model))
     return embeddings, model
@@ -412,6 +423,78 @@ class TestServe:
         finally:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=30) == 0
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("command, text", [
+        ("serve", "threshold = 2\n"),
+        ("serve", "threshold = nan\n"),
+        ("serve", "bind = nonsense\n"),
+        ("serve", "model\n"),
+        ("agent", "max_attempts = 0\n"),
+        ("agent", "poll_interval_ms = -1\n"),
+        ("agent", "backoff_base_ms = soon\n"),
+        ("agent", "watch_dir = .\nno equals sign\n"),
+    ])
+    def test_bad_value_or_line_is_usage_error(self, tmp_path, command, text):
+        config = tmp_path / "bad.conf"
+        config.write_text(text)
+        result = run_cli(command, "--config", config, env=env_with(MEMLOG_SERVER=""))
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command, text, code", [
+        ("serve", "max_attempts = 0\n", 4),  # still missing its model files
+        ("agent", "threshold = 2\nbind = nonsense\n", 8),  # still missing its watch dir
+    ])
+    def test_keys_of_another_subcommand_are_ignored(self, tmp_path, command, text, code):
+        config = tmp_path / "other.conf"
+        config.write_text(text)
+        result = run_cli(command, "--config", config, env=env_with(MEMLOG_SERVER=""))
+        assert result.returncode == code, result.stderr
+
+    def test_unreadable_config_is_load_failure(self, tmp_path):
+        result = run_cli("serve", "--config", tmp_path / "missing.conf")
+        assert result.returncode == 4
+        assert "cannot read config" in result.stderr
+
+    @pytest.mark.parametrize("command", ["gen", "train", "evaluate", "predict"])
+    def test_only_serve_and_agent_take_a_config(self, command):
+        assert "--config" not in run_cli(command, "--help").stdout
+
+    def test_agent_reads_every_key_and_flags_win(self, tmp_path):
+        config = tmp_path / "agent.conf"
+        config.write_text(
+            f"watch_dir = {tmp_path}\n"
+            "server_url = http://127.0.0.1:9\n"
+            "poll_interval_ms = 25\n"
+            "max_attempts = 7\n"
+            "backoff_base_ms = 0\n"
+            "model = ignored.mlgb\n"
+        )
+
+        def agent_config(*flags):
+            env = {k: v for k, v in os.environ.items() if k != "MEMLOG_SERVER"}
+            result = subprocess.run(
+                [sys.executable, "-c", AGENT_CONFIG_CODE, "agent", "--config", str(config),
+                 *flags],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert result.returncode == 0, result.stderr
+            return json.loads(result.stdout)
+
+        assert agent_config() == {
+            "watch_dir": str(tmp_path),
+            "server_url": "http://127.0.0.1:9",
+            "poll_interval_ms": 25,
+            "retry": {"max_attempts": 7, "backoff_base_ms": 0},
+            "request_timeout_s": 10.0,
+            "drain": False,
+        }
+        flagged = agent_config("--server", "http://127.0.0.1:10", "--max-attempts", "2")
+        assert flagged["server_url"] == "http://127.0.0.1:10"
+        assert flagged["retry"] == {"max_attempts": 2, "backoff_base_ms": 0}
+        assert flagged["poll_interval_ms"] == 25
 
 
 class TestAgentCommand:

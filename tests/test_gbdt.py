@@ -28,6 +28,7 @@ from memlog.errors import (
 from memlog.gbdt import (
     GbdtModel,
     GbdtParams,
+    RegressionTree,
     _stable_sigmoid,
     classify,
     load_model,
@@ -95,13 +96,10 @@ def oracle_best_split(X, g, h, lam, min_leaf):
 
 
 def route_one(tree, x):
-    node = 0
-    while tree.features[node] >= 0:
-        if x[tree.features[node]] < tree.thresholds[node]:
-            node = tree.lefts[node]
-        else:
-            node = tree.rights[node]
-    return tree.values[node]
+    node = tree.nodes[0]
+    while node["feature"] >= 0:
+        node = tree.nodes[node["left"] if x[node["feature"]] < node["threshold"] else node["right"]]
+    return node["value"]
 
 
 def replay_and_check(X, y, params):
@@ -119,15 +117,15 @@ def replay_and_check(X, y, params):
         h = prob * (1.0 - prob)
 
         def walk(node, rows, depth):
-            feature = int(tree.features[node])
+            feature = int(tree.nodes["feature"][node])
             if feature < 0:
                 g_sum = math.fsum(g[rows])
                 h_sum = math.fsum(h[rows])
                 want = -g_sum / (h_sum + params.lambda_)
-                assert tree.values[node] == pytest.approx(want, rel=1e-9, abs=1e-12)
+                assert tree.nodes["value"][node] == pytest.approx(want, rel=1e-9, abs=1e-12)
                 return
             assert depth < params.max_depth, "split deeper than max_depth"
-            threshold = float(tree.thresholds[node])
+            threshold = float(tree.nodes["threshold"][node])
             oracle_f, oracle_t, _ = oracle_best_split(
                 X[rows], g[rows], h[rows], params.lambda_, params.min_leaf
             )
@@ -138,8 +136,8 @@ def replay_and_check(X, y, params):
             go_left = X[rows, feature] < threshold
             assert go_left.sum() >= params.min_leaf
             assert (~go_left).sum() >= params.min_leaf
-            walk(int(tree.lefts[node]), rows[go_left], depth + 1)
-            walk(int(tree.rights[node]), rows[~go_left], depth + 1)
+            walk(int(tree.nodes["left"][node]), rows[go_left], depth + 1)
+            walk(int(tree.nodes["right"][node]), rows[~go_left], depth + 1)
 
         walk(0, np.arange(n), 0)
         margins = margins + params.shrinkage * np.array(
@@ -190,9 +188,9 @@ class TestStump:
         model = train_classifier(X, y, GbdtParams(trees=1, max_depth=1))
         tree = model.trees[0]
         assert tree.node_count == 3
-        assert int(tree.features[0]) == 7
-        assert float(tree.thresholds[0]) == 0.5
-        assert list(tree.features[1:]) == [-1, -1]
+        assert int(tree.nodes["feature"][0]) == 7
+        assert float(tree.nodes["threshold"][0]) == 0.5
+        assert list(tree.nodes["feature"][1:]) == [-1, -1]
 
     def test_oracle_agrees_on_feature_seven(self):
         X, y = self.stump_data()
@@ -260,7 +258,7 @@ class TestSplitOracle:
         X = np.column_stack([base, base, rng.normal(size=60)])
         y = (base > 0).astype(np.int64)
         model = train_classifier(X, y, GbdtParams(trees=1, max_depth=1, min_leaf=1))
-        assert int(model.trees[0].features[0]) == 0
+        assert int(model.trees[0].nodes["feature"][0]) == 0
 
     def test_constant_features_never_split(self):
         X = np.full((30, 4), 2.5)
@@ -269,7 +267,7 @@ class TestSplitOracle:
         model = train_classifier(X, y, GbdtParams(trees=3))
         for tree in model.trees:
             assert tree.node_count == 1
-            assert int(tree.features[0]) == -1
+            assert int(tree.nodes["feature"][0]) == -1
 
     def test_min_leaf_blocks_tiny_partitions(self):
         # 10 rows, min_leaf=5: only the 5|5 cut position is admissible.
@@ -277,7 +275,7 @@ class TestSplitOracle:
         y = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1], dtype=np.int64)
         model = train_classifier(X, y, GbdtParams(trees=1, max_depth=3, min_leaf=5))
         tree = model.trees[0]
-        assert float(tree.thresholds[0]) == 4.5
+        assert float(tree.nodes["threshold"][0]) == 4.5
         assert tree.node_count == 3  # children too small to split again
 
     def test_loss_nonincreasing_on_noisy_labels(self):
@@ -430,6 +428,21 @@ class TestValidation:
         with pytest.raises(LengthMismatch):
             train_classifier(X, np.array([0, 1, 0]))
 
+    def test_zero_hessian_leaf_is_zero_at_lambda_zero(self, tmp_path):
+        # Margins saturate on separable rows, so every hessian of a leaf
+        # rounds to 0.0; with lambda 0 its weight -G/(H+lam) is undefined.
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(60, 3))
+        y = (X[:, 0] > 0).astype(np.int64)
+        params = GbdtParams(trees=100, shrinkage=1.0, lambda_=0.0, max_depth=2, min_leaf=1)
+        model = train_classifier(X, y, params)
+        values = np.concatenate([tree.nodes["value"] for tree in model.trees])
+        leaves = np.concatenate([tree.nodes["feature"] < 0 for tree in model.trees])
+        assert np.isfinite(values).all() and (values[leaves] == 0.0).any()
+        path = tmp_path / "lambda0.mlgb"
+        save_model(model, str(path))
+        assert load_model(str(path)) == model  # the loader refuses non-finite leaves
+
     def test_non_finite_training_features(self):
         X = np.zeros((10, 3))
         X[4, 1] = np.inf
@@ -450,6 +463,40 @@ def trained():
 
 
 class TestPersistence:
+    def test_file_layout_is_pinned(self, tmp_path):
+        # A hand-written stump, so no float arithmetic decides the bytes.
+        records = [(7, 0.5, 1, 2, 0.0), (-1, 0.0, -1, -1, -0.25), (-1, 0.0, -1, -1, 0.75)]
+        params = GbdtParams(trees=1, max_depth=1, shrinkage=0.1, lambda_=1.0)
+        model = GbdtModel(base_score=-0.5, params=params, trees=[RegressionTree(records)])
+        path = tmp_path / "stump.mlgb"
+        save_model(model, str(path))
+        assert path.read_bytes() == (
+            b"MLGB"
+            + struct.pack("<I", 1)
+            + struct.pack("<QQddd", 1, 1, 0.1, 1.0, -0.5)
+            + struct.pack("<I", 3)
+            + b"".join(struct.pack("<idiid", *record) for record in records)
+        )
+        assert load_model(str(path)) == model
+        X = np.zeros((2, 8))
+        X[1, 7] = 0.5
+        assert predict_margin(model, X).tolist() == [-0.5 + 0.1 * -0.25, -0.5 + 0.1 * 0.75]
+
+    def test_nodes_are_read_only(self, trained, tmp_path):
+        path = tmp_path / "model.mlgb"
+        save_model(trained, str(path))
+        for model in (trained, load_model(str(path))):
+            nodes = model.trees[0].nodes
+            with pytest.raises(ValueError):
+                nodes["feature"][0] = 0
+            with pytest.raises(ValueError):
+                nodes[0] = (-1, 0.0, -1, -1, 1.0)
+        # a tree keeps its own copy of the records it was built from
+        source = trained.trees[0].nodes.copy()
+        tree = RegressionTree(source)
+        source["value"][:] = 1.0
+        assert tree.nodes.tobytes() == trained.trees[0].nodes.tobytes()
+
     def test_round_trip_is_bit_exact(self, trained, tmp_path):
         path = tmp_path / "model.mlgb"
         save_model(trained, str(path))

@@ -1,4 +1,5 @@
 """Detection service: scoring parity, wire protocol, and robustness."""
+import dataclasses
 import hashlib
 import json
 import socket
@@ -12,7 +13,7 @@ import pytest
 
 from memlog.embedding import EmbeddingModel, load_embeddings, save_embeddings
 from memlog.errors import BindFailure, ModelLoadFailure, NotJson, OversizeLog
-from memlog.gbdt import classify, load_model, predict_one, save_model
+from memlog.gbdt import RegressionTree, classify, load_model, predict_one, save_model
 from memlog.logmodel import DEFAULT_MAX_BYTES, Label, parse_log, serialize_log
 from memlog.service import (
     DetectorService,
@@ -156,7 +157,6 @@ class TestLoadDetector:
             small_embeddings.vocab,
             small_embeddings.input_vectors[:, :8].copy(),
             small_embeddings.output_vectors[:, :8].copy(),
-            dim=8,
         )
         path = tmp_path / "narrow.mleb"
         save_embeddings(narrow, str(path))
@@ -166,10 +166,12 @@ class TestLoadDetector:
 
     def test_feature_out_of_range(self, model_dir, tmp_path):
         model = load_model(str(model_dir["model"]))
-        assert model.trees[0].features[0] >= 0
-        model.trees[0].features[0] = LOG_VECTOR_DIM
+        nodes = model.trees[0].nodes.copy()
+        assert nodes["feature"][0] >= 0
+        nodes["feature"][0] = LOG_VECTOR_DIM
+        wide = dataclasses.replace(model, trees=(RegressionTree(nodes), *model.trees[1:]))
         path = tmp_path / "wide.mlgb"
-        save_model(model, str(path))
+        save_model(wide, str(path))
         with pytest.raises(ModelLoadFailure, match=f"feature {LOG_VECTOR_DIM}"):
             load_detector(model_dir["embeddings"], str(path))
 

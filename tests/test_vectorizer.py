@@ -18,13 +18,8 @@ from memlog.vectorizer import (
 def toy_model(tokens: dict[str, np.ndarray]) -> EmbeddingModel:
     names = list(tokens)
     matrix = np.stack([tokens[t] for t in names]).astype(np.float32)
-    vocab = Vocabulary(names, [1] * len(names), min_count=1)
-    return EmbeddingModel(
-        vocab=vocab,
-        input_vectors=matrix,
-        output_vectors=np.zeros_like(matrix),
-        dim=matrix.shape[1],
-    )
+    vocab = Vocabulary(names, [1] * len(names))
+    return EmbeddingModel(vocab=vocab, input_vectors=matrix, output_vectors=np.zeros_like(matrix))
 
 
 def unit(i: int, dim: int = 32) -> np.ndarray:
