@@ -179,7 +179,7 @@ class _TreeBuilder:
         return node
 
     def finish(self) -> RegressionTree:
-        return RegressionTree(np.array(self.nodes, dtype=_NODE))
+        return RegressionTree(self.nodes)
 
 
 def train_classifier(X: np.ndarray, y: np.ndarray, params: GbdtParams | None = None) -> GbdtModel:
