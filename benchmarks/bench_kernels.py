@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Benchmark the training kernels: the skip-gram epoch and the split search.
+"""Benchmark the training kernels: the negative-sample lookup, the skip-gram
+epoch and the split search.
 
 Builds workloads through the real pipeline (synthetic corpus, trained
-embeddings).  It checks that the native skip-gram epoch agrees exactly
-with its numpy reference on the whole corpus, then reports best-of-N
-times for both; without a C compiler on PATH only the numpy epoch is
-timed.  Split search has one implementation: it is timed on one root
-node and across the fit of a whole forest.
+embeddings).  It checks that the native lookup and the native skip-gram
+epoch agree exactly with their numpy references on one epoch of the whole
+corpus, then reports best-of-N times for both; without a C compiler on
+PATH only the numpy kernels are timed.  Split search has one
+implementation: it is timed on one root node and across the fit of a
+whole forest.
 """
 import argparse
 import time
@@ -63,14 +65,25 @@ def epoch_result(fn, ids, offsets, vin0, vout0, args):
     return loss, vin.tobytes(), vout.tobytes()
 
 
+def bench_negatives(cdf, draws, repeats):
+    """One epoch's negatives from ``kernels.draw_negatives``, after timing both lookups."""
+    negatives = kernels.draw_negatives(cdf, draws)
+    assert np.array_equal(negatives, kernels._draw_negatives_numpy(cdf, draws))
+    numpy_s = best_of(lambda: kernels._draw_negatives_numpy(cdf, draws), repeats)
+    native_s = None
+    if NATIVE:
+        native_s = best_of(lambda: kernels._draw_negatives_native(cdf, draws), repeats)
+    report("draw_negatives", f"vocab={cdf.size} draws={draws.size}", numpy_s, native_s)
+    return negatives
+
+
 def bench_sgns(vocab, ids, offsets, hp, repeats):
     rng = np.random.default_rng(11)
     vin0 = ((rng.random((len(vocab), 32), dtype=np.float32)) - 0.5) / 32
     vout0 = np.zeros((len(vocab), 32), dtype=np.float32)
     pairs = kernels.count_pairs(offsets, hp.window)
-    cdf = _negative_sampling_cdf(vocab)
     draws = rng.random((pairs, hp.negatives))
-    negatives = np.searchsorted(cdf, draws, side="right").astype(np.int32)
+    negatives = bench_negatives(_negative_sampling_cdf(vocab), draws, repeats)
     args = (negatives, hp.window, hp.initial_lr, hp.initial_lr * 1e-4, 0, pairs)
 
     def run(fn):

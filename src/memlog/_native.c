@@ -1,12 +1,15 @@
-/* The compiled training kernel for memlog.kernels: the skip-gram epoch.
+/* The compiled training kernels for memlog.kernels: the skip-gram epoch
+ * and the negative-sample lookup.
  *
- * memlog_sgns_epoch computes what kernels._sgns_epoch_numpy computes,
- * with the same operand types and evaluation order.  Built without
- * fast-math and with -ffp-contract=off, so no operation is fused or
- * reordered and the results are bit-identical to the reference.  The
- * Python wrapper in kernels.py checks every array (dtype, layout, shape,
- * index ranges) before calling; nothing here re-checks them.  Returns 0
- * on success and -1 when the gradient buffer cannot be allocated.
+ * Each computes what its numpy reference in kernels.py computes:
+ * memlog_sgns_epoch with the same operand types and evaluation order as
+ * kernels._sgns_epoch_numpy, memlog_draw_negatives the same integers as
+ * np.searchsorted.  Built without fast-math and with -ffp-contract=off,
+ * so no operation is fused or reordered and the results are bit-identical
+ * to the references.  The Python wrappers in kernels.py check every array
+ * (dtype, layout, shape, index and value ranges) before calling; nothing
+ * here re-checks them.  Each returns 0 on success and -1 when its scratch
+ * buffer cannot be allocated.
  */
 #include <math.h>
 #include <stdint.h>
@@ -94,5 +97,47 @@ int memlog_sgns_epoch(const int32_t *ids, const int64_t *offsets, int64_t n_sent
     }
     free(grad_v);
     *loss_out = loss;
+    return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * negative-sample lookup: kernels._draw_negatives_numpy
+ *
+ * out[i] is the first k with cdf[k] > draws[i], as np.searchsorted(cdf,
+ * draws, side="right") finds it.  A guide table (Chen and Asau's indexed
+ * search) gives each draw u a start near its answer: start[b] is the first
+ * k with cdf[k] > b/m, for buckets b = 0..m, m = len(cdf).  The draw
+ * starts at start[(int64_t)(u*m)], then steps back while cdf[k-1] > u and
+ * forward while cdf[k] <= u.  Both loops end at the one k with cdf[k-1] <=
+ * u < cdf[k] in a non-decreasing cdf, so the answer is exact however u*m
+ * rounds.  The wrapper guarantees a finite non-decreasing cdf and draws in
+ * [0, 1), so (int64_t)(u*m) is defined and non-negative, and clamping it
+ * to m keeps it inside start[].
+ */
+
+int memlog_draw_negatives(const double *cdf, int64_t m, const double *draws, int64_t n,
+                          int32_t *out)
+{
+    int64_t *start = malloc((size_t)(m + 1) * sizeof(int64_t));
+    if (start == NULL)
+        return -1;
+    int64_t k = 0;
+    for (int64_t b = 0; b <= m; b++) {
+        double edge = (double)b / (double)m;
+        while (k < m && cdf[k] <= edge)
+            k++;
+        start[b] = k;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        double u = draws[i];
+        int64_t b = (int64_t)(u * (double)m);
+        k = start[b > m ? m : b];
+        while (k > 0 && cdf[k - 1] > u)
+            k--;
+        while (k < m && cdf[k] <= u)
+            k++;
+        out[i] = (int32_t)k;
+    }
+    free(start);
     return 0;
 }

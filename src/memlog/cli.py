@@ -178,11 +178,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .gbdt import GbdtParams, predict, save_model, train_classifier
     from .synthgen import read_corpus
     from .tokenizer import tokenize
-    from .vectorizer import vectorize_corpus
+    from .vectorizer import label_vector, vectorize_tokens
 
     logs = read_corpus(args.corpus)
     if not logs:
         raise EmptyCorpus(f"no logs found in {args.corpus}")
+    y = label_vector(logs)
     grouped = [tokenize(log) for log in logs]
     hyper = Hyperparams(
         window=args.window,
@@ -194,7 +195,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     vocab = build_vocab(grouped, min_count=hyper.min_count)
     embeddings = train_embeddings(grouped, vocab, hyper)
-    X, y = vectorize_corpus(logs, embeddings)
+    X = vectorize_tokens(grouped, embeddings)
     train_idx, test_idx = holdout_split(
         y, SplitSpec(train_malicious_fraction=args.train_fraction, shuffle_seed=args.seed)
     )

@@ -173,7 +173,7 @@ def train_embeddings(
         lr_floor = hp.initial_lr * LR_FLOOR_FRACTION
         for epoch in range(hp.epochs):
             draws = rng.random((pairs_per_epoch, hp.negatives))
-            negatives = np.searchsorted(cdf, draws, side="right").astype(np.int32)
+            negatives = kernels.draw_negatives(cdf, draws)
             kernels.sgns_epoch(
                 ids,
                 offsets,

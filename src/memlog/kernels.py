@@ -1,25 +1,29 @@
-"""Hot numeric kernels: skip-gram SGD, boosted-tree split search, tree inference.
+"""Hot numeric kernels: skip-gram SGD, negative sampling, boosted-tree split
+search, tree inference.
 
-Only the skip-gram epoch, ``sgns_epoch``, is compiled.  It has two
-implementations:
+Two training kernels are compiled.  Each has a numpy reference, which is
+also the fallback when there is no compiler, and a C port in
+``_native.c`` called through ``ctypes``:
 
-- ``_sgns_epoch_numpy``: Python loops over numpy rows, the reference the
-  tests check against the float64 pair objective in ``embedding`` and the
-  fallback when there is no compiler;
-- ``_sgns_epoch_native``: the same arithmetic in the same order in C
-  (``_native.c``), called through ``ctypes``.
+- the skip-gram epoch, ``sgns_epoch``: ``_sgns_epoch_numpy`` loops over
+  numpy rows and is checked against the float64 pair objective in
+  ``embedding``; ``_sgns_epoch_native`` does the same arithmetic in the
+  same order;
+- the negative-sample lookup, ``draw_negatives``: ``_draw_negatives_numpy``
+  is ``np.searchsorted`` over the sampling CDF; ``_draw_negatives_native``
+  finds the same integers through a guide table.
 
-Both are bit-identical: same operand types, same accumulation order,
+Each pair is bit-identical: same operand types, same accumulation order,
 no fused or reordered arithmetic, and all randomness is drawn outside the
-kernel.  So the backend changes only the speed of training, never the
+kernels.  So the backend changes only the speed of training, never the
 model files it writes.  ``BACKEND`` is ``"native"`` when a C compiler
 (``cc`` or ``gcc``) is on ``PATH`` at import and ``"numpy"`` otherwise,
-and ``sgns_epoch`` binds to it.  The library is compiled on the first
-call of the native epoch, not at import, with ``-O2 -ffp-contract=off``
-(no fast-math), into ``$XDG_CACHE_HOME/memlog`` (default
-``~/.cache/memlog``) under a file name keyed by the SHA-256 of the source,
-the flags and the machine; the compiler writes a temporary file that is
-then renamed into place.  A compiler that fails raises
+and ``sgns_epoch`` and ``draw_negatives`` bind to it.  The library is
+compiled on the first call of a native kernel, not at import, with
+``-O2 -ffp-contract=off`` (no fast-math), into ``$XDG_CACHE_HOME/memlog``
+(default ``~/.cache/memlog``) under a file name keyed by the SHA-256 of
+the source, the flags and the machine; the compiler writes a temporary
+file that is then renamed into place.  A compiler that fails raises
 :class:`RuntimeError`.
 
 Split search, ``best_split``, is one numpy function on every host: the
@@ -128,6 +132,18 @@ def _sgns_epoch_numpy(ids, offsets, vin, vout, negatives, window, lr0, lr_floor,
 
 
 # --------------------------------------------------------------------------
+# negative-sample lookup
+#
+# ``cdf`` is the non-decreasing cumulative sampling distribution over the
+# vocabulary, ending at 1.0, and ``draws`` are uniform in [0, 1).  The
+# negative for draw u is the first token id whose cdf exceeds u.
+
+
+def _draw_negatives_numpy(cdf, draws):
+    return np.searchsorted(cdf, draws, side="right").astype(np.int32)
+
+
+# --------------------------------------------------------------------------
 # gradient-boosted tree split search
 #
 # Exact greedy search over all features and all midpoints between
@@ -212,8 +228,9 @@ def predict_margin(forest, rows, base, shrinkage):
 # native backend
 #
 # The wrappers vet every array before handing its raw pointer to C: dtype
-# and layout (``_array``), shapes, and that every index the kernel follows
-# (token ids, negatives) is in range.
+# and layout (``_array``), shapes, that every index the kernel follows
+# (token ids, negatives) is in range, and that every value the lookup
+# turns into an index (cdf, draws) is finite and ordered as it assumes.
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -278,6 +295,8 @@ def _load(path: str):
         p, p, i64, p, p, i64, p, i64, i64, f64, f64, i64, i64, p
     )
     lib.memlog_sgns_epoch.restype = ctypes.c_int
+    lib.memlog_draw_negatives.argtypes = (p, i64, p, i64, p)
+    lib.memlog_draw_negatives.restype = ctypes.c_int
     return lib
 
 
@@ -338,7 +357,29 @@ def _sgns_epoch_native(ids, offsets, vin, vout, negatives, window, lr0, lr_floor
     return loss.value
 
 
+def _draw_negatives_native(cdf, draws):
+    cdf = _array("cdf", cdf, np.float64, 1)
+    flat = _array("draws", np.ravel(draws), np.float64, 1)
+    if not 0 < cdf.size <= np.iinfo(np.int32).max:
+        raise ValueError(f"cdf must have 1 to 2**31 - 1 entries, got {cdf.size}")
+    if not (np.isfinite(cdf).all() and (cdf[1:] >= cdf[:-1]).all()):
+        raise ValueError("cdf must be finite and non-decreasing")
+    # NaN fails both comparisons, so this also refuses non-finite draws
+    if flat.size and not (flat.min() >= 0.0 and flat.max() < 1.0):
+        raise ValueError("draws must be finite and lie in [0, 1)")
+    out = np.empty(flat.size, dtype=np.int32)
+    status = _native().memlog_draw_negatives(
+        cdf.ctypes.data, cdf.size, flat.ctypes.data, flat.size, out.ctypes.data
+    )
+    if status != 0:
+        raise MemoryError("native negative-sample lookup could not allocate its guide table")
+    return out.reshape(np.shape(draws))
+
+
 # --------------------------------------------------------------------------
 # backend binding
 
-sgns_epoch = _sgns_epoch_native if BACKEND == "native" else _sgns_epoch_numpy
+if BACKEND == "native":
+    sgns_epoch, draw_negatives = _sgns_epoch_native, _draw_negatives_native
+else:
+    sgns_epoch, draw_negatives = _sgns_epoch_numpy, _draw_negatives_numpy

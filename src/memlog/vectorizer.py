@@ -53,15 +53,27 @@ def vectorize_log(tokens: GroupedTokens, model: EmbeddingModel) -> LogVector:
     return LogVector(values, coverage)
 
 
-def vectorize_corpus(
-    logs: Sequence[CanonicalLog], model: EmbeddingModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorize labeled logs into (n x 192 matrix, 0/1 label vector)."""
-    X = np.zeros((len(logs), GROUP_COUNT * model.dim), dtype=np.float32)
+def label_vector(logs: Sequence[CanonicalLog]) -> np.ndarray:
+    """The 0/1 label of each log; raises :class:`UnlabeledLog` for a log without one."""
     y = np.zeros(len(logs), dtype=np.int64)
     for i, log in enumerate(logs):
         if log.label is None:
             raise UnlabeledLog(f"log {i} has no label")
-        X[i] = vectorize_log(tokenize(log), model).values
         y[i] = MALICIOUS if log.label is Label.MALICIOUS else BENIGN
-    return X, y
+    return y
+
+
+def vectorize_tokens(corpus: Sequence[GroupedTokens], model: EmbeddingModel) -> np.ndarray:
+    """One 192-dim log vector per tokenized log, as an (n x 192) matrix."""
+    X = np.zeros((len(corpus), GROUP_COUNT * model.dim), dtype=np.float32)
+    for i, tokens in enumerate(corpus):
+        X[i] = vectorize_log(tokens, model).values
+    return X
+
+
+def vectorize_corpus(
+    logs: Sequence[CanonicalLog], model: EmbeddingModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorize labeled logs into (n x 192 matrix, 0/1 label vector)."""
+    y = label_vector(logs)
+    return vectorize_tokens([tokenize(log) for log in logs], model), y

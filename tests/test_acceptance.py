@@ -9,8 +9,6 @@ a run green.
 """
 import http.client
 import json
-import math
-import os
 import signal
 import subprocess
 import sys

@@ -10,7 +10,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 import urllib.request
 
 import numpy as np
@@ -50,6 +49,17 @@ AGENT_CONFIG_CODE = """
 import dataclasses, json, sys
 from memlog import agent, cli
 agent.run_agent = lambda config: print(json.dumps(dataclasses.asdict(config)))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+# Runs ``memlog train`` in-process with ``train_embeddings`` replaced by a
+# function that fails the run, so only a check made before it can exit 10.
+NO_EMBEDDING_CODE = """
+import sys
+from memlog import cli, embedding
+def refuse(*args, **kwargs):
+    raise AssertionError("train_embeddings ran")
+embedding.train_embeddings = refuse
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -246,6 +256,24 @@ class TestTrain:
         empty.mkdir()
         result = run_cli("train", "--corpus", empty, *TINY_TRAIN)
         assert result.returncode == 9
+
+    def test_unlabeled_log_fails_before_training(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        assert run_cli("gen", "--out", corpus, "--malicious", "4", "--benign", "4",
+                       "--seed", "2").returncode == 0
+        unlabeled = corpus / "log_00003.json"
+        log = json.loads(unlabeled.read_bytes())
+        del log["label"]
+        unlabeled.write_text(json.dumps(log), encoding="utf-8")
+        outputs = tmp_path / "e.mleb", tmp_path / "m.mlgb"
+        result = subprocess.run(
+            [sys.executable, "-c", NO_EMBEDDING_CODE, "train", "--corpus", str(corpus),
+             "--embeddings-out", str(outputs[0]), "--model-out", str(outputs[1]), *TINY_TRAIN],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 10, result.stderr
+        assert "log 3 has no label" in result.stderr
+        assert not any(path.exists() for path in outputs)
 
     def test_separable_thousand_log_corpus_reaches_auc_one(self, tmp_path):
         corpus = tmp_path / "large"

@@ -1,9 +1,10 @@
 """The training kernels against the math, and the native skip-gram epoch
-against its numpy reference, bit for bit.
+and negative-sample lookup against their numpy references, bit for bit.
 
 The split search has one implementation, checked against the exhaustive
 oracle of ``tests/test_gbdt.py``.  Both skip-gram implementations
-accumulate in the same order, so their parity comparisons are exact.
+accumulate in the same order, so their parity comparisons are exact, and
+both lookups must return the integers ``np.searchsorted`` returns.
 Tree inference has one implementation, a plain Python walk;
 ``tests/test_gbdt.py`` checks it against per-tree routing.
 """
@@ -75,6 +76,7 @@ from memlog.vectorizer import vectorize_corpus
 
 assert kernels.BACKEND == 'numpy', kernels.BACKEND
 assert kernels.sgns_epoch is kernels._sgns_epoch_numpy
+assert kernels.draw_negatives is kernels._draw_negatives_numpy
 logs = generate_corpus(GenSpec(n_malicious=8, n_benign=8, overlap=0.0, seed=3))
 grouped = [tokenize(log) for log in logs]
 embeddings = train_embeddings(grouped, build_vocab(grouped), Hyperparams(epochs=1, seed=3))
@@ -97,8 +99,10 @@ class TestBackendSelection:
     def test_public_names_bind_to_backend(self):
         if kernels.BACKEND == "native":
             assert kernels.sgns_epoch is kernels._sgns_epoch_native
+            assert kernels.draw_negatives is kernels._draw_negatives_native
         else:
             assert kernels.sgns_epoch is kernels._sgns_epoch_numpy
+            assert kernels.draw_negatives is kernels._draw_negatives_numpy
 
     def test_no_compiler_falls_back_to_numpy(self, tmp_path):
         empty_bin = tmp_path / "bin"
@@ -218,6 +222,56 @@ class TestSgnsKernels:
         np.testing.assert_allclose(vout, wout, rtol=1e-5, atol=1e-6)
 
 
+def sampling_cdf(weights):
+    cdf = np.cumsum(np.asarray(weights, dtype=np.float64))
+    return cdf / cdf[-1]
+
+
+def edge_draws(cdf):
+    """0.0, the largest double below 1, and every cdf value with its neighbours, in [0, 1)."""
+    values = np.concatenate(
+        [[0.0, np.nextafter(1.0, 0.0)], cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)]
+    )
+    return values[(values >= 0.0) & (values < 1.0)]
+
+
+@pytest.mark.skipif(kernels.BACKEND != "native", reason="native backend inactive")
+class TestDrawNegativesParity:
+    def assert_parity(self, cdf, draws):
+        native = kernels._draw_negatives_native(cdf, draws)
+        reference = kernels._draw_negatives_numpy(cdf, draws)
+        assert native.dtype == np.int32 and native.shape == np.shape(draws)
+        assert np.array_equal(native, reference)
+
+    def test_random_draws(self):
+        rng = np.random.default_rng(50)
+        for vocab in (2, 7, 100, 847):
+            cdf = sampling_cdf(rng.integers(1, 500, size=vocab) ** 0.75)
+            self.assert_parity(cdf, rng.random((3000, 5)))
+
+    def test_edge_draws(self):
+        rng = np.random.default_rng(51)
+        for cdf in (
+            sampling_cdf(rng.integers(1, 50, size=40) ** 0.75),
+            sampling_cdf(np.ones(10)),  # cdf values on the bucket edges b / m
+            np.array([0.25, 0.25, 0.5, 0.5, 0.75]),  # repeats, and draws past the last value
+        ):
+            self.assert_parity(cdf, edge_draws(cdf))
+
+    def test_one_token_vocabulary(self):
+        cdf = np.array([1.0])
+        self.assert_parity(cdf, np.concatenate([edge_draws(cdf), [0.5]]))
+
+    def test_skewed_cdf(self):
+        # geometric weights crowd hundreds of cdf values into the last few buckets
+        cdf = sampling_cdf(np.geomspace(1.0, 1e-12, 600))
+        draws = np.concatenate([np.random.default_rng(53).random(5000), edge_draws(cdf)])
+        self.assert_parity(cdf, draws)
+
+    def test_empty_draws(self):
+        self.assert_parity(np.array([0.5, 1.0]), np.zeros((0, 5)))
+
+
 class TestCountPairs:
     def test_closed_form_matches_loop(self):
         offsets = np.cumsum([0, 0, 1, 2, 3, 7, 0, 12])
@@ -255,10 +309,28 @@ class TestNativeInputChecks:
         with pytest.raises(ValueError):
             self.epoch(offsets=offsets[::-1].copy())
 
+    def test_draw_negatives_rejects_bad_input(self):
+        cdf, draws = np.array([0.25, 0.5, 1.0]), np.array([0.0, 0.3, 0.9])
+        for bad in (np.nan, -0.1, 1.0, 2.0, np.inf):
+            with pytest.raises(ValueError):
+                kernels._draw_negatives_native(cdf, np.append(draws, bad))
+        with pytest.raises(ValueError):
+            kernels._draw_negatives_native(cdf[::-1].copy(), draws)
+        with pytest.raises(ValueError):
+            kernels._draw_negatives_native(np.array([0.5, np.nan, 1.0]), draws)
+        with pytest.raises(ValueError):
+            kernels._draw_negatives_native(np.zeros(0), draws)
+        with pytest.raises(TypeError):
+            kernels._draw_negatives_native(cdf.astype(np.complex128), draws)
+        with pytest.raises(TypeError):
+            kernels._draw_negatives_native(cdf, draws.astype(np.complex128))
+        with pytest.raises(TypeError):
+            kernels._draw_negatives_native(cdf[:, None], draws)
+
 
 class TestBenchmarkScript:
     def test_parity_checks_pass_on_a_small_workload(self):
-        # benchmarks/bench_kernels.py asserts skip-gram backend parity before timing
+        # benchmarks/bench_kernels.py asserts backend parity of both kernels before timing
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -270,5 +342,5 @@ class TestBenchmarkScript:
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert result.returncode == 0, result.stderr
-        for kernel in ("sgns_epoch", "best_split", "train_classifier"):
+        for kernel in ("draw_negatives", "sgns_epoch", "best_split", "train_classifier"):
             assert kernel in result.stdout

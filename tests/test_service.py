@@ -14,13 +14,12 @@ import pytest
 from memlog.embedding import EmbeddingModel, load_embeddings, save_embeddings
 from memlog.errors import BindFailure, ModelLoadFailure, NotJson, OversizeLog
 from memlog.gbdt import RegressionTree, classify, load_model, predict_one, save_model
-from memlog.logmodel import DEFAULT_MAX_BYTES, Label, parse_log, serialize_log
+from memlog.logmodel import DEFAULT_MAX_BYTES, parse_log, serialize_log
 from memlog.service import (
     DetectorService,
     _Handler,
     load_detector,
     make_server,
-    serve_until_signal,
 )
 from memlog.synthgen import GenSpec, generate_corpus
 from memlog.tokenizer import tokenize
