@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Benchmark the training kernels: the negative-sample lookup, the skip-gram
-epoch and the split search.
+epoch, the split search and the growth of one tree.
 
 Builds workloads through the real pipeline (synthetic corpus, trained
-embeddings).  It checks that the native lookup and the native skip-gram
-epoch agree exactly with their numpy references on one epoch of the whole
-corpus, then reports best-of-N times for both; without a C compiler on
-PATH only the numpy kernels are timed.  Split search has one
-implementation: it is timed on one root node and across the fit of a
-whole forest.
+embeddings).  It checks that the native lookup, skip-gram epoch and tree
+grower agree exactly with their numpy references (one epoch of the whole
+corpus, one tree over every row), then reports best-of-N times for both;
+without a C compiler on PATH only the numpy kernels are timed.  Split
+search has one implementation, timed on one root node.  Last comes the fit
+of a whole forest with each grower.
 """
 import argparse
 import time
@@ -102,22 +102,48 @@ def bench_sgns(vocab, ids, offsets, hp, repeats):
     report("sgns_epoch", detail, numpy_s, native_s)
 
 
+def first_round(X, y):
+    """The sorted columns and the gradients of a fit's first tree, at margin 0."""
+    p = np.full(len(y), 0.5)
+    Xt = np.ascontiguousarray(X.T, dtype=np.float64)  # as train_classifier sees it
+    return Xt, np.argsort(Xt, axis=1, kind="stable"), p - y, p * (1.0 - p)
+
+
 def bench_split(X, y, repeats):
-    margins = np.zeros(len(y))
-    p = 1.0 / (1.0 + np.exp(-margins))
-    g = p - y
-    h = p * (1.0 - p)
-    Xt = np.ascontiguousarray(X.T)
-    order = np.argsort(Xt, axis=1, kind="stable")
+    Xt, order, g, h = first_round(X, y)
     args = (order, Xt, g, h, float(np.cumsum(g)[-1]), float(np.cumsum(h)[-1]), 1.0, 5)
     seconds = best_of(lambda: kernels.best_split(*args), repeats)
     report("best_split", f"rows={X.shape[0]} features={X.shape[1]}", seconds, None)
 
 
+def bench_grow(X, y, repeats):
+    # shuffled labels leave no split that separates the classes, so the tree
+    # grows to max_depth, as trees on overlapping corpora do
+    params = GbdtParams()
+    Xt, order, g, h = first_round(X, np.random.default_rng(12).permutation(y))
+    args = (Xt, order, g, h, params.lambda_, params.min_leaf, params.max_depth)
+    columns, leaves = kernels._grow_tree_numpy(*args)
+    numpy_s = best_of(lambda: kernels._grow_tree_numpy(*args), repeats)
+    native_s = None
+    if NATIVE:
+        native_columns, native_leaves = kernels._grow_tree_native(*args)
+        assert [c.tobytes() for c in native_columns] == [c.tobytes() for c in columns]
+        assert np.array_equal(native_leaves, leaves)
+        native_s = best_of(lambda: kernels._grow_tree_native(*args), repeats)
+    detail = f"rows={X.shape[0]} nodes={len(columns[0])}"
+    report("grow_tree", detail, numpy_s, native_s)
+
+
 def bench_forest(X, y, trees, repeats):
     params = GbdtParams(trees=trees)
-    seconds = best_of(lambda: train_classifier(X, y, params), repeats)
-    report("train_classifier", f"trees={trees} rows={X.shape[0]}", seconds, None)
+    bound = kernels.grow_tree
+    try:
+        kernels.grow_tree = kernels._grow_tree_numpy
+        numpy_s = best_of(lambda: train_classifier(X, y, params), repeats)
+    finally:
+        kernels.grow_tree = bound
+    native_s = best_of(lambda: train_classifier(X, y, params), repeats) if NATIVE else None
+    report("train_classifier", f"trees={trees} rows={X.shape[0]}", numpy_s, native_s)
 
 
 def main():
@@ -138,6 +164,7 @@ def main():
     embeddings = train_embeddings(grouped, vocab, Hyperparams(epochs=1, seed=args.seed))
     X, y = vectorize_corpus(corpus, embeddings)
     bench_split(X, y, args.repeats)
+    bench_grow(X, y, args.repeats)
 
     bench_forest(X, y, args.trees, args.repeats)
 

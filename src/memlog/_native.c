@@ -1,19 +1,22 @@
-/* The compiled training kernels for memlog.kernels: the skip-gram epoch
- * and the negative-sample lookup.
+/* The compiled training kernels for memlog.kernels: the skip-gram epoch,
+ * the negative-sample lookup and the growth of one boosted tree.
  *
  * Each computes what its numpy reference in kernels.py computes:
  * memlog_sgns_epoch with the same operand types and evaluation order as
  * kernels._sgns_epoch_numpy, memlog_draw_negatives the same integers as
- * np.searchsorted.  Built without fast-math and with -ffp-contract=off,
- * so no operation is fused or reordered and the results are bit-identical
- * to the references.  The Python wrappers in kernels.py check every array
- * (dtype, layout, shape, index and value ranges) before calling; nothing
- * here re-checks them.  Each returns 0 on success and -1 when its scratch
- * buffer cannot be allocated.
+ * np.searchsorted, memlog_grow_tree the same nodes as
+ * kernels._grow_tree_numpy.  Built with -O3 but without fast-math and
+ * with -ffp-contract=off, so no operation is fused or reordered (gcc
+ * vectorizes only element-wise updates; every sum stays sequential) and
+ * the results are bit-identical to the references.  The Python wrappers in
+ * kernels.py check every array (dtype, layout, shape, index and value
+ * ranges) before calling; nothing here re-checks them.  Each returns 0 on
+ * success and -1 when its scratch buffers cannot be allocated.
  */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* ------------------------------------------------------------------------
  * skip-gram with negative sampling: kernels._sgns_epoch_numpy
@@ -140,4 +143,185 @@ int memlog_draw_negatives(const double *cdf, int64_t m, const double *draws, int
     }
     free(start);
     return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * boosted-tree growth: kernels._grow_tree_numpy
+ *
+ * Grows one tree over the n_rows columns of the feature-major Xt
+ * (n_features x n_rows).  order[f] lists every row by ascending Xt[f],
+ * ties by row index; the kernel partitions it in place, so a node's rows
+ * always occupy the same column range [start, start + n) of rows[] and of
+ * each order[f].  The range of rows[] stays ascending, and each order[f]
+ * range stays sorted, because every partition is stable.
+ *
+ * Per node, as the reference does it: totals summed in ascending row
+ * order; then, below max_depth, kernels.best_split: one sequential
+ * prefix-sum pass per feature with the same gain expression, cuts between
+ * equal values excluded, NaN gains skipped, and the first cut in
+ * feature-major order within the tie band of the best gain.  Rows with
+ * Xt[feature] < threshold go left.
+ *
+ * Nodes are written in preorder to the five columns, and leaf_of_row[r]
+ * is the leaf row r lands in.  An explicit stack stands in for the
+ * reference's recursion, so no depth overflows the C stack.  When every
+ * node keeps a row, n_rows rows give at most capacity = 2 n_rows - 1
+ * nodes, and the pending nodes on the stack, which hold disjoint rows, are
+ * at most n_rows.  A split whose threshold sends every row one way (a
+ * midpoint rounded onto one of its values) would break that, so the
+ * kernel stops there and returns 1.
+ */
+
+typedef struct {
+    int64_t start, n, depth, parent; /* parent -1 for the root */
+    int is_right;
+} pending_node;
+
+/* The sum of a over the rows, added one at a time as np.cumsum adds them:
+ * -0.0 is the identity of IEEE addition, so the first term enters exactly. */
+static double row_sum(const double *a, const int64_t *rows, int64_t n)
+{
+    double sum = -0.0;
+    for (int64_t i = 0; i < n; i++)
+        sum += a[rows[i]];
+    return n ? sum : 0.0;
+}
+
+/* gains[j] for the cut that leaves the first lo + j of the n sorted rows on
+ * the left, j = 0..n-2lo, or -inf between equal values.  Returns the
+ * largest gain, NaN skipped as np.fmax skips it, or -inf when none. */
+static double scan_feature(const int64_t *ord, int64_t n, int64_t lo, const double *x,
+                           const double *g, const double *h, double gtot, double htot,
+                           double lam, double parent_term, double *gains)
+{
+    double gl = -0.0, hl = -0.0, best = -INFINITY;
+    for (int64_t p = 0; p < n - lo; p++) {
+        gl += g[ord[p]];
+        hl += h[ord[p]];
+        if (p + 1 < lo)
+            continue;
+        double gain = -INFINITY;
+        if (x[ord[p]] != x[ord[p + 1]]) {
+            double gr = gtot - gl, hr = htot - hl;
+            gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_term);
+            if (gain > best)
+                best = gain;
+        }
+        gains[p + 1 - lo] = gain;
+    }
+    return best;
+}
+
+/* Moves the entries of a[0..n) whose row goes left to the front, both
+ * sides in their old order; returns how many went left. */
+static int64_t partition(int64_t *a, int64_t n, const unsigned char *goes_left, int64_t *spill)
+{
+    int64_t n_left = 0, n_right = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t r = a[i];
+        if (goes_left[r])
+            a[n_left++] = r;
+        else
+            spill[n_right++] = r;
+    }
+    memcpy(a + n_left, spill, (size_t)n_right * sizeof *a);
+    return n_left;
+}
+
+int memlog_grow_tree(const double *Xt, int64_t *order, int64_t n_features, int64_t n_rows,
+                     const double *g, const double *h, double lam, int64_t min_leaf,
+                     int64_t max_depth, double tie_rel, double tie_abs, int64_t capacity,
+                     int32_t *feature, double *threshold, int32_t *left, int32_t *right,
+                     double *value, int64_t *leaf_of_row, int64_t *n_nodes)
+{
+    size_t rows_n = n_rows > 0 ? (size_t)n_rows : 1;
+    int64_t *rows = malloc(rows_n * sizeof *rows);
+    int64_t *spill = malloc(rows_n * sizeof *spill);
+    unsigned char *goes_left = malloc(rows_n);
+    double *gains = malloc(rows_n * sizeof *gains);
+    double *feature_best = malloc((n_features > 0 ? (size_t)n_features : 1) * sizeof *feature_best);
+    pending_node *stack = malloc((size_t)capacity * sizeof *stack);
+    int status = -1;
+    if (!rows || !spill || !goes_left || !gains || !feature_best || !stack)
+        goto done;
+
+    for (int64_t r = 0; r < n_rows; r++)
+        rows[r] = r;
+    int64_t lo = min_leaf > 1 ? min_leaf : 1, count = 0, top = 0;
+    stack[top++] = (pending_node){0, n_rows, 0, -1, 0};
+    status = 0;
+    while (top > 0) {
+        pending_node at = stack[--top];
+        int64_t node = count++;
+        if (at.parent >= 0)
+            (at.is_right ? right : left)[at.parent] = (int32_t)node;
+        int64_t *seg = rows + at.start, n = at.n;
+        double gsum = row_sum(g, seg, n), hsum = row_sum(h, seg, n);
+
+        int64_t best_f = -1, best_j = 0;
+        if (at.depth < max_depth && n >= 2 * lo) {
+            double parent_term = gsum * gsum / (hsum + lam), best = -INFINITY;
+            for (int64_t f = 0; f < n_features; f++) {
+                feature_best[f] = scan_feature(order + f * n_rows + at.start, n, lo,
+                                               Xt + f * n_rows, g, h, gsum, hsum, lam, parent_term,
+                                               gains);
+                if (feature_best[f] > best)
+                    best = feature_best[f];
+            }
+            if (best > 0.0) {
+                /* NaN when best is infinite, which admits no cut */
+                double cutoff = best - (tie_rel * fabs(best) + tie_abs);
+                for (int64_t f = 0; f < n_features && best_f < 0; f++) {
+                    if (!(feature_best[f] >= cutoff && feature_best[f] > 0.0))
+                        continue;
+                    const int64_t *ord = order + f * n_rows + at.start;
+                    scan_feature(ord, n, lo, Xt + f * n_rows, g, h, gsum, hsum, lam, parent_term,
+                                 gains);
+                    for (best_j = 0; !(gains[best_j] >= cutoff && gains[best_j] > 0.0); best_j++)
+                        ;
+                    best_f = f;
+                }
+            }
+        }
+
+        if (best_f < 0) {
+            double denom = hsum + lam;
+            feature[node] = -1;
+            threshold[node] = 0.0;
+            left[node] = right[node] = -1;
+            value[node] = denom != 0.0 ? -gsum / denom : 0.0;
+            for (int64_t i = 0; i < n; i++)
+                leaf_of_row[seg[i]] = node;
+            continue;
+        }
+
+        const double *x = Xt + best_f * n_rows;
+        const int64_t *ord = order + best_f * n_rows + at.start;
+        double t = (x[ord[lo - 1 + best_j]] + x[ord[lo + best_j]]) / 2.0;
+        for (int64_t i = 0; i < n; i++)
+            goes_left[seg[i]] = x[seg[i]] < t;
+        int64_t n_left = partition(seg, n, goes_left, spill);
+        if (n_left == 0 || n_left == n) {
+            status = 1;
+            goto done;
+        }
+        for (int64_t f = 0; f < n_features; f++)
+            partition(order + f * n_rows + at.start, n, goes_left, spill);
+        feature[node] = (int32_t)best_f;
+        threshold[node] = t;
+        value[node] = 0.0;
+        /* the left child is taken next, so its subtree precedes the right one */
+        stack[top++] = (pending_node){at.start + n_left, n - n_left, at.depth + 1, node, 1};
+        stack[top++] = (pending_node){at.start, n_left, at.depth + 1, node, 0};
+    }
+    *n_nodes = count;
+
+done:
+    free(rows);
+    free(spill);
+    free(goes_left);
+    free(gains);
+    free(feature_best);
+    free(stack);
+    return status;
 }

@@ -184,6 +184,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not logs:
         raise EmptyCorpus(f"no logs found in {args.corpus}")
     y = label_vector(logs)
+    # the split needs only the labels, so a corpus it refuses costs no training
+    train_idx, test_idx = holdout_split(
+        y, SplitSpec(train_malicious_fraction=args.train_fraction, shuffle_seed=args.seed)
+    )
     grouped = [tokenize(log) for log in logs]
     hyper = Hyperparams(
         window=args.window,
@@ -196,9 +200,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     vocab = build_vocab(grouped, min_count=hyper.min_count)
     embeddings = train_embeddings(grouped, vocab, hyper)
     X = vectorize_tokens(grouped, embeddings)
-    train_idx, test_idx = holdout_split(
-        y, SplitSpec(train_malicious_fraction=args.train_fraction, shuffle_seed=args.seed)
-    )
     params = GbdtParams(
         trees=args.trees,
         max_depth=args.depth,

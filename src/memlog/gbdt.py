@@ -19,6 +19,10 @@ asserts after every round that the training log-loss has not increased.
 The features never change across rounds, so each column is sorted once
 per fit.  Every node receives its rows in that per-feature order, and a
 split filters it into the children's orders, so no node sorts again.
+One call of :func:`kernels.grow_tree` grows each tree.  It is one of
+the three compiled training kernels, beside the skip-gram epoch and the
+negative-sample lookup: C where a compiler is present, the numpy
+reference elsewhere, with the same nodes either way.
 
 A tree is one array of ``_NODE`` records, the model file's own node
 layout, so saving writes each tree's bytes and loading reads them back
@@ -138,48 +142,12 @@ def _validate_features(X: np.ndarray) -> np.ndarray:
     return X
 
 
-class _TreeBuilder:
-    """Grows one tree depth-first, emitting nodes in preorder."""
-
-    def __init__(self, Xt, g, h, params: GbdtParams):
-        self.Xt = Xt
-        self.g = g
-        self.h = h
-        self.params = params
-        self.nodes: list[tuple] = []
-        self.leaf_of_row = np.zeros(Xt.shape[1], dtype=np.int64)
-
-    def build(self, rows: np.ndarray, order: np.ndarray, depth: int) -> int:
-        """Grow the node holding ``rows`` (ascending); ``order`` is their per-feature sort."""
-        node = len(self.nodes)
-        self.nodes.append(None)  # preorder: the node's index comes before its children's
-        lam = self.params.lambda_
-        g_sum = float(np.cumsum(self.g[rows])[-1]) if rows.size else 0.0
-        h_sum = float(np.cumsum(self.h[rows])[-1]) if rows.size else 0.0
-        if depth < self.params.max_depth:
-            feature, threshold, gain = kernels.best_split(
-                order, self.Xt, self.g, self.h, g_sum, h_sum, lam, self.params.min_leaf
-            )
-            if feature >= 0:
-                goes_left = self.Xt[feature] < threshold
-                go_left = goes_left[rows]
-                n_left = int(go_left.sum())
-                # filtering each feature's order keeps it sorted: the children need no sort
-                left = goes_left[order]
-                left_child = self.build(rows[go_left], order[left].reshape(-1, n_left), depth + 1)
-                right_child = self.build(
-                    rows[~go_left], order[~left].reshape(-1, rows.size - n_left), depth + 1
-                )
-                self.nodes[node] = (feature, threshold, left_child, right_child, 0.0)
-                return node
-        # a leaf whose rows all have saturated margins has no curvature at lambda 0
-        value = -g_sum / (h_sum + lam) if h_sum + lam else 0.0
-        self.nodes[node] = (-1, 0.0, -1, -1, value)
-        self.leaf_of_row[rows] = node
-        return node
-
-    def finish(self) -> RegressionTree:
-        return RegressionTree(self.nodes)
+def _tree(columns) -> RegressionTree:
+    """A tree from its node columns, in the order of ``_NODE``."""
+    nodes = np.empty(len(columns[0]), dtype=_NODE)
+    for name, column in zip(_NODE.names, columns):
+        nodes[name] = column
+    return RegressionTree(nodes)
 
 
 def train_classifier(X: np.ndarray, y: np.ndarray, params: GbdtParams | None = None) -> GbdtModel:
@@ -201,7 +169,6 @@ def train_classifier(X: np.ndarray, y: np.ndarray, params: GbdtParams | None = N
     margins = np.full(X.shape[0], base_score, dtype=np.float64)
     trees: list[RegressionTree] = []
     losses = [log_loss(margins, y)]
-    all_rows = np.arange(X.shape[0], dtype=np.int64)
     # X never changes, so one stable sort per feature serves every node of every tree
     Xt = np.ascontiguousarray(X.T)
     order = np.argsort(Xt, axis=1, kind="stable")
@@ -210,11 +177,12 @@ def train_classifier(X: np.ndarray, y: np.ndarray, params: GbdtParams | None = N
         sig = _stable_sigmoid(margins)
         g = sig - y
         h = sig * (1.0 - sig)
-        builder = _TreeBuilder(Xt, g, h, params)
-        builder.build(all_rows, order, 0)
-        tree = builder.finish()
+        columns, leaf_of_row = kernels.grow_tree(
+            Xt, order, g, h, params.lambda_, params.min_leaf, params.max_depth
+        )
+        tree = _tree(columns)
         trees.append(tree)
-        margins += params.shrinkage * tree.nodes["value"][builder.leaf_of_row]
+        margins += params.shrinkage * tree.nodes["value"][leaf_of_row]
         loss = log_loss(margins, y)
         previous = losses[-1]
         if loss > previous + _LOSS_INCREASE_TOL:

@@ -1,7 +1,7 @@
 """Hot numeric kernels: skip-gram SGD, negative sampling, boosted-tree split
-search, tree inference.
+search and growth, tree inference.
 
-Two training kernels are compiled.  Each has a numpy reference, which is
+Three training kernels are compiled.  Each has a numpy reference, which is
 also the fallback when there is no compiler, and a C port in
 ``_native.c`` called through ``ctypes``:
 
@@ -11,24 +11,29 @@ also the fallback when there is no compiler, and a C port in
   same order;
 - the negative-sample lookup, ``draw_negatives``: ``_draw_negatives_numpy``
   is ``np.searchsorted`` over the sampling CDF; ``_draw_negatives_native``
-  finds the same integers through a guide table.
+  finds the same integers through a guide table;
+- the growth of one boosted tree, ``grow_tree``: ``_grow_tree_numpy``
+  recurses node by node and calls ``best_split``, the split search, which
+  the tests tie to an exhaustive oracle; ``_grow_tree_native`` grows the
+  whole tree in one call, with the same sums, gains, ties and partitions.
 
 Each pair is bit-identical: same operand types, same accumulation order,
 no fused or reordered arithmetic, and all randomness is drawn outside the
 kernels.  So the backend changes only the speed of training, never the
 model files it writes.  ``BACKEND`` is ``"native"`` when a C compiler
 (``cc`` or ``gcc``) is on ``PATH`` at import and ``"numpy"`` otherwise,
-and ``sgns_epoch`` and ``draw_negatives`` bind to it.  The library is
-compiled on the first call of a native kernel, not at import, with
-``-O2 -ffp-contract=off`` (no fast-math), into ``$XDG_CACHE_HOME/memlog``
-(default ``~/.cache/memlog``) under a file name keyed by the SHA-256 of
-the source, the flags and the machine; the compiler writes a temporary
-file that is then renamed into place.  A compiler that fails raises
-:class:`RuntimeError`.
+and ``sgns_epoch``, ``draw_negatives`` and ``grow_tree`` bind to it.  The
+library is compiled on the first call of a native kernel, not at import,
+with ``-O3 -ffp-contract=off`` (no fast-math: gcc vectorizes only
+element-wise updates, and every sum stays sequential), into
+``$XDG_CACHE_HOME/memlog`` (default ``~/.cache/memlog``) under a file name
+keyed by the SHA-256 of the source, the flags and the machine; the
+compiler writes a temporary file that is then renamed into place.  A
+compiler that fails raises :class:`RuntimeError`.
 
-Split search, ``best_split``, is one numpy function on every host: the
-trainer sorts each feature column once per fit, and the search scans all
-features of a node in one pass over that order.  Tree inference,
+The trainer sorts each feature column once per fit, and the split search
+scans all features of a node in one pass over that order, which each
+split filters into the children's orders.  Tree inference,
 ``predict_margin``, is one plain Python walk for every caller; scoring
 never builds or loads the library.
 """
@@ -198,6 +203,74 @@ def best_split(order, Xt, g, h, gtot, htot, lam, min_leaf):
 
 
 # --------------------------------------------------------------------------
+# boosted-tree growth
+#
+# One tree, grown depth-first from a root that holds every row, its nodes
+# numbered in preorder.  ``order`` is the fit's per-feature sort of all
+# rows, as ``best_split`` takes it.  A node below ``max_depth`` splits
+# where ``best_split`` says; rows with ``Xt[feature] < threshold`` go left,
+# and filtering each feature's order keeps it sorted, so no node sorts
+# again.  A leaf weighs -G/(H+lam), or 0 when H+lam == 0 (lambda 0, every
+# margin saturated).  Returns the node columns (feature, threshold, left,
+# right, value), in the order and types of ``gbdt._NODE``, and the leaf
+# each row lands in.
+
+_COLUMN_TYPES = (np.int32, np.float64, np.int32, np.int32, np.float64)
+
+
+class _TreeBuilder:
+    """Grows one tree depth-first, emitting nodes in preorder."""
+
+    def __init__(self, Xt, g, h, lam, min_leaf, max_depth):
+        self.Xt = Xt
+        self.g = g
+        self.h = h
+        self.lam = lam
+        self.min_leaf = min_leaf
+        self.max_depth = max_depth
+        self.nodes: list[tuple] = []
+        self.leaf_of_row = np.zeros(Xt.shape[1], dtype=np.int64)
+
+    def build(self, rows: np.ndarray, order: np.ndarray, depth: int) -> int:
+        """Grow the node holding ``rows`` (ascending); ``order`` is their per-feature sort."""
+        node = len(self.nodes)
+        self.nodes.append(None)  # preorder: the node's index comes before its children's
+        lam = self.lam
+        g_sum = float(np.cumsum(self.g[rows])[-1]) if rows.size else 0.0
+        h_sum = float(np.cumsum(self.h[rows])[-1]) if rows.size else 0.0
+        if depth < self.max_depth:
+            feature, threshold, gain = best_split(
+                order, self.Xt, self.g, self.h, g_sum, h_sum, lam, self.min_leaf
+            )
+            if feature >= 0:
+                goes_left = self.Xt[feature] < threshold
+                go_left = goes_left[rows]
+                n_left = int(go_left.sum())
+                # filtering each feature's order keeps it sorted: the children need no sort
+                left = goes_left[order]
+                left_child = self.build(rows[go_left], order[left].reshape(-1, n_left), depth + 1)
+                right_child = self.build(
+                    rows[~go_left], order[~left].reshape(-1, rows.size - n_left), depth + 1
+                )
+                self.nodes[node] = (feature, threshold, left_child, right_child, 0.0)
+                return node
+        # a leaf whose rows all have saturated margins has no curvature at lambda 0
+        value = -g_sum / (h_sum + lam) if h_sum + lam else 0.0
+        self.nodes[node] = (-1, 0.0, -1, -1, value)
+        self.leaf_of_row[rows] = node
+        return node
+
+
+def _grow_tree_numpy(Xt, order, g, h, lam, min_leaf, max_depth):
+    builder = _TreeBuilder(Xt, g, h, lam, min_leaf, max_depth)
+    builder.build(np.arange(Xt.shape[1], dtype=np.int64), order, 0)
+    columns = tuple(
+        np.array(column, dtype=kind) for column, kind in zip(zip(*builder.nodes), _COLUMN_TYPES)
+    )
+    return columns, builder.leaf_of_row
+
+
+# --------------------------------------------------------------------------
 # boosted-tree inference
 #
 # A forest is one tuple per tree of its node columns as lists, in the
@@ -229,11 +302,12 @@ def predict_margin(forest, rows, base, shrinkage):
 #
 # The wrappers vet every array before handing its raw pointer to C: dtype
 # and layout (``_array``), shapes, that every index the kernel follows
-# (token ids, negatives) is in range, and that every value the lookup
-# turns into an index (cdf, draws) is finite and ordered as it assumes.
+# (token ids, negatives, the tree's row orders) is in range, and that
+# every value the lookup turns into an index (cdf, draws) is finite and
+# ordered as it assumes.  They check once per call, never per node.
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native.c")
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _LDLIBS = ("-lm",)
 
 
@@ -297,6 +371,10 @@ def _load(path: str):
     lib.memlog_sgns_epoch.restype = ctypes.c_int
     lib.memlog_draw_negatives.argtypes = (p, i64, p, i64, p)
     lib.memlog_draw_negatives.restype = ctypes.c_int
+    lib.memlog_grow_tree.argtypes = (
+        p, p, i64, i64, p, p, f64, i64, i64, f64, f64, i64, p, p, p, p, p, p, p
+    )
+    lib.memlog_grow_tree.restype = ctypes.c_int
     return lib
 
 
@@ -376,10 +454,52 @@ def _draw_negatives_native(cdf, draws):
     return out.reshape(np.shape(draws))
 
 
+def _grow_tree_native(Xt, order, g, h, lam, min_leaf, max_depth):
+    # the reference computes in its inputs' own type, so only float64 matches C
+    if any(np.asarray(a).dtype != np.float64 for a in (Xt, g, h)):
+        raise TypeError("Xt, g and h must be float64 arrays")
+    Xt = _array("Xt", Xt, np.float64, 2)
+    order = _array("order", order, np.int64, 2)
+    g = _array("g", g, np.float64, 1)
+    h = _array("h", h, np.float64, 1)
+    n_features, n_rows = Xt.shape
+    if order.shape != Xt.shape or g.shape != (n_rows,) or h.shape != (n_rows,):
+        raise ValueError(
+            f"order {order.shape}, g {g.shape} and h {h.shape} do not fit Xt {Xt.shape}"
+        )
+    if not _in_range(order, n_rows):
+        raise ValueError(f"order must lie in [0, {n_rows})")
+    if min_leaf < 0 or max_depth < 0:
+        raise ValueError(f"min_leaf {min_leaf} and max_depth {max_depth} must be >= 0")
+    capacity = max(2 * n_rows - 1, 1)
+    if max(capacity, n_features) > np.iinfo(np.int32).max:
+        raise ValueError(f"a {n_features} x {n_rows} tree overflows the int32 node fields")
+    columns = tuple(np.empty(capacity, dtype=kind) for kind in _COLUMN_TYPES)
+    leaf_of_row = np.empty(n_rows, dtype=np.int64)
+    work = order.copy()  # the kernel partitions it in place
+    count = ctypes.c_int64()
+    # a tree that fits 2n - 1 nodes is less than n deep, and a min_leaf of n
+    # already rules out every split, so the clamps change no tree
+    status = _native().memlog_grow_tree(
+        Xt.ctypes.data, work.ctypes.data, n_features, n_rows, g.ctypes.data, h.ctypes.data,
+        float(lam), min(int(min_leaf), n_rows), min(int(max_depth), n_rows),
+        GAIN_TIE_REL, GAIN_TIE_ABS, capacity, *(c.ctypes.data for c in columns),
+        leaf_of_row.ctypes.data, ctypes.byref(count),
+    )
+    if status == 1:
+        # a split sent every row one way; the reference defines what follows
+        return _grow_tree_numpy(Xt, order, g, h, lam, min_leaf, max_depth)
+    if status != 0:
+        raise MemoryError("native tree growth could not allocate its scratch buffers")
+    return tuple(c[: count.value] for c in columns), leaf_of_row
+
+
 # --------------------------------------------------------------------------
 # backend binding
 
 if BACKEND == "native":
     sgns_epoch, draw_negatives = _sgns_epoch_native, _draw_negatives_native
+    grow_tree = _grow_tree_native
 else:
     sgns_epoch, draw_negatives = _sgns_epoch_numpy, _draw_negatives_numpy
+    grow_tree = _grow_tree_numpy

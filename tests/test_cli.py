@@ -53,7 +53,8 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 # Runs ``memlog train`` in-process with ``train_embeddings`` replaced by a
-# function that fails the run, so only a check made before it can exit 10.
+# function that fails the run, so only a check made before it can exit with
+# its own code.
 NO_EMBEDDING_CODE = """
 import sys
 from memlog import cli, embedding
@@ -250,6 +251,21 @@ class TestTrain:
         result = run_cli("train", "--corpus", corpus, *TINY_TRAIN)
         assert result.returncode == 6
         assert result.stderr.strip()
+
+    @pytest.mark.parametrize("malicious, code", [(0, 6), (4, 9)])
+    def test_single_class_is_refused_before_the_vocabulary(self, tmp_path, malicious, code):
+        # No token reaches this --min-count (exit 9), and with no malicious
+        # log the corpus is single-class as well: the split refuses it
+        # first (exit 6), before any vocabulary or embedding is built.
+        corpus = tmp_path / "corpus"
+        assert run_cli("gen", "--out", corpus, "--malicious", malicious,
+                       "--benign", 8 - malicious, "--seed", "2").returncode == 0
+        result = subprocess.run(
+            [sys.executable, "-c", NO_EMBEDDING_CODE, "train", "--corpus", str(corpus),
+             *TINY_TRAIN, "--min-count", "1000000"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == code, result.stderr
 
     def test_empty_corpus_fails(self, tmp_path):
         empty = tmp_path / "empty"

@@ -233,6 +233,9 @@ class TestSplitOracle:
         # The fit sorts once; each node's order must still be exactly a fresh
         # stable argsort of its rows, and its totals sums in ascending row
         # order, or prefix sums would round differently from a per-node sort.
+        # Only the numpy grower calls best_split, so the fit runs on it; the
+        # native grower is tied to it node for node in tests/test_kernels.py.
+        monkeypatch.setattr(kernels, "grow_tree", kernels._grow_tree_numpy)
         search = kernels.best_split
         nodes = []
 

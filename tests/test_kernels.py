@@ -1,8 +1,10 @@
-"""The training kernels against the math, and the native skip-gram epoch
-and negative-sample lookup against their numpy references, bit for bit.
+"""The training kernels against the math, and the native skip-gram epoch,
+negative-sample lookup and tree growth against their numpy references,
+bit for bit.
 
 The split search has one implementation, checked against the exhaustive
-oracle of ``tests/test_gbdt.py``.  Both skip-gram implementations
+oracle of ``tests/test_gbdt.py``; the numpy tree grower calls it, and the
+native grower must emit the same nodes.  Both skip-gram implementations
 accumulate in the same order, so their parity comparisons are exact, and
 both lookups must return the integers ``np.searchsorted`` returns.
 Tree inference has one implementation, a plain Python walk;
@@ -77,6 +79,7 @@ from memlog.vectorizer import vectorize_corpus
 assert kernels.BACKEND == 'numpy', kernels.BACKEND
 assert kernels.sgns_epoch is kernels._sgns_epoch_numpy
 assert kernels.draw_negatives is kernels._draw_negatives_numpy
+assert kernels.grow_tree is kernels._grow_tree_numpy
 logs = generate_corpus(GenSpec(n_malicious=8, n_benign=8, overlap=0.0, seed=3))
 grouped = [tokenize(log) for log in logs]
 embeddings = train_embeddings(grouped, build_vocab(grouped), Hyperparams(epochs=1, seed=3))
@@ -100,9 +103,11 @@ class TestBackendSelection:
         if kernels.BACKEND == "native":
             assert kernels.sgns_epoch is kernels._sgns_epoch_native
             assert kernels.draw_negatives is kernels._draw_negatives_native
+            assert kernels.grow_tree is kernels._grow_tree_native
         else:
             assert kernels.sgns_epoch is kernels._sgns_epoch_numpy
             assert kernels.draw_negatives is kernels._draw_negatives_numpy
+            assert kernels.grow_tree is kernels._grow_tree_numpy
 
     def test_no_compiler_falls_back_to_numpy(self, tmp_path):
         empty_bin = tmp_path / "bin"
@@ -145,6 +150,85 @@ class TestSplitParity:
                 assert (feature, threshold) == oracle_best_split(X, g, h, 0.0, leaf)[:2]
             # ... and zero hessians make every gain NaN, which never wins
             assert root_split(X, g, np.zeros(20), 0.0, 1) == (-1, 0.0, 0.0)
+
+
+def sorted_columns(X):
+    """``X`` feature-major, and each feature's stable sort of the rows."""
+    Xt = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+    return Xt, np.argsort(Xt, axis=1, kind="stable")
+
+
+@pytest.mark.skipif(kernels.BACKEND != "native", reason="native backend inactive")
+class TestGrowTreeParity:
+    def assert_same_tree(self, X, g, h, lam, min_leaf, max_depth):
+        Xt, order = sorted_columns(X)
+        kept = order.copy()
+        native, native_leaves = kernels._grow_tree_native(Xt, order, g, h, lam, min_leaf, max_depth)
+        reference, leaves = kernels._grow_tree_numpy(Xt, order, g, h, lam, min_leaf, max_depth)
+        assert np.array_equal(order, kept)  # the kernel partitions its own copy
+        assert [c.dtype for c in native] == [c.dtype for c in reference]
+        assert [c.tobytes() for c in native] == [c.tobytes() for c in reference]
+        assert np.array_equal(native_leaves, leaves)
+        return len(reference[0])
+
+    def test_oracle_cases(self):
+        nodes = 0
+        for seed in range(20):
+            X, g, h = split_inputs(seed)
+            for min_leaf in (0, 1, 5, 20, 41):  # 41 > n / 2 leaves a single leaf
+                for max_depth in (0, 3, 6):
+                    nodes += self.assert_same_tree(X, g, h, 1.0, min_leaf, max_depth)
+        assert nodes > 20 * 5 * 3 * 3
+        # an exact tie inside one feature: thresholds 0.5 and 2.5 both gain 0.375
+        X, g, h = np.arange(4.0)[:, None], np.array([1.0, -1.0, -1.0, 1.0]), np.ones(4)
+        assert self.assert_same_tree(X, g, h, 1.0, 1, 1) == 3
+
+    def test_rounded_and_duplicated_features(self):
+        for seed in range(10):
+            X, g, h = split_inputs(seed, n=120, d=8)
+            X[:, 5] = X[:, 1]
+            for lam in (0.0, 1.0):
+                self.assert_same_tree(np.round(X, 1), g, h, lam, 1, 10)
+                self.assert_same_tree(X, g, h, lam, 2, 50)
+
+    def test_saturated_hessians_at_lambda_zero(self):
+        # A saturated row has g = h = 0, so at lambda 0 a side holding only
+        # such rows gains 0/0 = NaN, and a leaf of them weighs 0.
+        nodes = 0
+        for seed in range(10):
+            X, g, h = split_inputs(seed, n=60, d=4)
+            saturated = X[:, 1] > 0.5
+            g, h = np.where(saturated, 0.0, g), np.where(saturated, 0.0, h)
+            nodes += self.assert_same_tree(X, g, h, 0.0, 1, 6)
+            nodes += self.assert_same_tree(np.round(X, 1), g, h, 0.0, 0, 6)
+        assert nodes > 200
+        # zero hessians everywhere: every gain is NaN or infinite, and none wins
+        assert self.assert_same_tree(X, g, np.zeros_like(h), 0.0, 1, 6) == 1
+
+    def test_degenerate_inputs(self):
+        X, g, h = split_inputs(5, n=20, d=3)
+        assert self.assert_same_tree(np.full((20, 3), 1.0), g, h, 1.0, 1, 6) == 1
+        assert self.assert_same_tree(X[:, :0], g, h, 1.0, 1, 6) == 1
+        assert self.assert_same_tree(X[:1], g[:1], h[:1], 1.0, 0, 6) == 1
+        assert self.assert_same_tree(X[:2], g[:2], h[:2], 1.0, 0, 10**30) <= 3
+        # sums start from the first term, so a leaf of -0.0 gradients weighs +0.0
+        assert self.assert_same_tree(X, np.where(X[:, 0] > 0, g, -0.0), h, 1.0, 1, 6) > 1
+
+    def test_a_threshold_that_sends_every_row_one_way(self, monkeypatch):
+        # The midpoint of 1.0 and the next double rounds to 1.0, so no row
+        # goes left.  The native grower hands such a tree to the reference,
+        # which cannot build the empty child and raises.
+        one, above = 1.0, np.nextafter(1.0, 2.0)
+        Xt, order = sorted_columns([[one], [above], [one], [above]])
+        args = (Xt, order, np.array([0.5, -0.5, 0.5, -0.5]), np.full(4, 0.25), 1.0, 1, 3)
+        with pytest.raises(ValueError) as reference:
+            kernels._grow_tree_numpy(*args)
+        deferred = []
+        grow = kernels._grow_tree_numpy
+        monkeypatch.setattr(kernels, "_grow_tree_numpy", lambda *a: deferred.append(a) or grow(*a))
+        with pytest.raises(ValueError) as native:
+            kernels._grow_tree_native(*args)
+        assert len(deferred) == 1 and str(native.value) == str(reference.value)
 
 
 IMPLS = [
@@ -309,6 +393,33 @@ class TestNativeInputChecks:
         with pytest.raises(ValueError):
             self.epoch(offsets=offsets[::-1].copy())
 
+    def test_grow_tree_rejects_bad_input(self):
+        X, g, h = split_inputs(45, n=30, d=4)
+        Xt, order = sorted_columns(X)
+
+        def grow(**override):
+            args = dict(Xt=Xt, order=order, g=g, h=h, lam=1.0, min_leaf=1, max_depth=3)
+            args.update(override)
+            return kernels._grow_tree_native(**args)
+
+        for bad in (order + 30, order - 1, np.where(order == 0, -30, order)):
+            with pytest.raises(ValueError):
+                grow(order=bad)
+        for bad in (
+            dict(order=order[:, :-1]), dict(order=order[:-1]), dict(Xt=Xt[:, :-1]),
+            dict(g=g[:-1]), dict(h=np.append(h, 0.5)), dict(min_leaf=-1), dict(max_depth=-1),
+        ):
+            with pytest.raises(ValueError):
+                grow(**bad)
+        for bad in (
+            dict(order=order.astype(np.float64)), dict(order=order.astype(np.uint64)),
+            dict(Xt=Xt.astype(np.complex128)), dict(g=g.astype(np.complex128)),
+            dict(Xt=Xt.astype(np.float32)), dict(h=h.astype(np.float32)),
+            dict(h=h[:, None]), dict(Xt=Xt[0]),
+        ):
+            with pytest.raises(TypeError):
+                grow(**bad)
+
     def test_draw_negatives_rejects_bad_input(self):
         cdf, draws = np.array([0.25, 0.5, 1.0]), np.array([0.0, 0.3, 0.9])
         for bad in (np.nan, -0.1, 1.0, 2.0, np.inf):
@@ -330,7 +441,7 @@ class TestNativeInputChecks:
 
 class TestBenchmarkScript:
     def test_parity_checks_pass_on_a_small_workload(self):
-        # benchmarks/bench_kernels.py asserts backend parity of both kernels before timing
+        # benchmarks/bench_kernels.py asserts backend parity of the compiled kernels before timing
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -342,5 +453,6 @@ class TestBenchmarkScript:
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert result.returncode == 0, result.stderr
-        for kernel in ("draw_negatives", "sgns_epoch", "best_split", "train_classifier"):
+        names = ("draw_negatives", "sgns_epoch", "best_split", "grow_tree", "train_classifier")
+        for kernel in names:
             assert kernel in result.stdout
