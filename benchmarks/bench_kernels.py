@@ -122,15 +122,15 @@ def bench_grow(X, y, repeats):
     params = GbdtParams()
     Xt, order, g, h = first_round(X, np.random.default_rng(12).permutation(y))
     args = (Xt, order, g, h, params.lambda_, params.min_leaf, params.max_depth)
-    columns, leaves = kernels._grow_tree_numpy(*args)
+    nodes, leaves = kernels._grow_tree_numpy(*args)
     numpy_s = best_of(lambda: kernels._grow_tree_numpy(*args), repeats)
     native_s = None
     if NATIVE:
-        native_columns, native_leaves = kernels._grow_tree_native(*args)
-        assert [c.tobytes() for c in native_columns] == [c.tobytes() for c in columns]
+        native_nodes, native_leaves = kernels._grow_tree_native(*args)
+        assert native_nodes.tobytes() == nodes.tobytes()
         assert np.array_equal(native_leaves, leaves)
         native_s = best_of(lambda: kernels._grow_tree_native(*args), repeats)
-    detail = f"rows={X.shape[0]} nodes={len(columns[0])}"
+    detail = f"rows={X.shape[0]} nodes={len(nodes)}"
     report("grow_tree", detail, numpy_s, native_s)
 
 

@@ -4,14 +4,17 @@
  * Each computes what its numpy reference in kernels.py computes:
  * memlog_sgns_epoch with the same operand types and evaluation order as
  * kernels._sgns_epoch_numpy, memlog_draw_negatives the same integers as
- * np.searchsorted, memlog_grow_tree the same nodes as
+ * np.searchsorted, memlog_grow_tree the same tree_node records as
  * kernels._grow_tree_numpy.  Built with -O3 but without fast-math and
  * with -ffp-contract=off, so no operation is fused or reordered (gcc
  * vectorizes only element-wise updates; every sum stays sequential) and
- * the results are bit-identical to the references.  The Python wrappers in
- * kernels.py check every array (dtype, layout, shape, index and value
- * ranges) before calling; nothing here re-checks them.  Each returns 0 on
- * success and -1 when its scratch buffers cannot be allocated.
+ * the results are bit-identical to the references.  The source is C11 and
+ * builds clean under -std=c11 -Wall -Wextra -Wpedantic -Werror; the one
+ * thing outside the standard is tree_node's pack pragma, which gcc and
+ * clang honour.  The Python wrappers in kernels.py check every array
+ * (dtype, layout, shape, index and value ranges) before calling; nothing
+ * here re-checks them.  Each returns 0 on success and -1 when its scratch
+ * buffers cannot be allocated (memlog_grow_tree also 1, see below).
  */
 #include <math.h>
 #include <stdint.h>
@@ -162,19 +165,38 @@ int memlog_draw_negatives(const double *cdf, int64_t m, const double *draws, int
  * feature-major order within the tie band of the best gain.  Rows with
  * Xt[feature] < threshold go left.
  *
- * Nodes are written in preorder to the five columns, and leaf_of_row[r]
- * is the leaf row r lands in.  An explicit stack stands in for the
- * reference's recursion, so no depth overflows the C stack.  When every
- * node keeps a row, n_rows rows give at most capacity = 2 n_rows - 1
- * nodes, and the pending nodes on the stack, which hold disjoint rows, are
- * at most n_rows.  A split whose threshold sends every row one way (a
- * midpoint rounded onto one of its values) would break that, so the
- * kernel stops there and returns 1.
+ * The threshold between the sorted values a < b is their midpoint, or b
+ * when the midpoint is not in (a, b] (rounded onto a, or a + b overflowed),
+ * so each child keeps a row.
+ *
+ * Nodes are written in preorder as tree_node records, the bytes of
+ * kernels._NODE and of the model file, and leaf_of_row[r] is the leaf row
+ * r lands in.  An explicit stack stands in for the reference's recursion,
+ * so no depth overflows the C stack.  When every node keeps a row, n_rows
+ * rows give at most capacity = 2 n_rows - 1 nodes, and the pending nodes on
+ * the stack, which hold disjoint rows, are at most n_rows.  A split that
+ * sent every row one way would break that, so the kernel stops there and
+ * returns 1; the threshold rule and the wrapper's refusal of NaN leave no
+ * such split.
  */
 
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
+#error "tree_node records are little-endian, as kernels._NODE declares them"
+#endif
+
+#pragma pack(push, 1)
 typedef struct {
-    int64_t start, n, depth, parent; /* parent -1 for the root */
-    int is_right;
+    int32_t feature; /* -1 for a leaf */
+    double threshold;
+    int32_t left, right;
+    double value;
+} tree_node;
+#pragma pack(pop)
+_Static_assert(sizeof(tree_node) == 28, "tree_node must match the 28-byte kernels._NODE");
+
+typedef struct {
+    int64_t start, n, depth;
+    int64_t right_of; /* the node whose right child this is, or -1 */
 } pending_node;
 
 /* The sum of a over the rows, added one at a time as np.cumsum adds them:
@@ -231,8 +253,7 @@ static int64_t partition(int64_t *a, int64_t n, const unsigned char *goes_left, 
 int memlog_grow_tree(const double *Xt, int64_t *order, int64_t n_features, int64_t n_rows,
                      const double *g, const double *h, double lam, int64_t min_leaf,
                      int64_t max_depth, double tie_rel, double tie_abs, int64_t capacity,
-                     int32_t *feature, double *threshold, int32_t *left, int32_t *right,
-                     double *value, int64_t *leaf_of_row, int64_t *n_nodes)
+                     tree_node *nodes, int64_t *leaf_of_row, int64_t *n_nodes)
 {
     size_t rows_n = n_rows > 0 ? (size_t)n_rows : 1;
     int64_t *rows = malloc(rows_n * sizeof *rows);
@@ -248,13 +269,13 @@ int memlog_grow_tree(const double *Xt, int64_t *order, int64_t n_features, int64
     for (int64_t r = 0; r < n_rows; r++)
         rows[r] = r;
     int64_t lo = min_leaf > 1 ? min_leaf : 1, count = 0, top = 0;
-    stack[top++] = (pending_node){0, n_rows, 0, -1, 0};
+    stack[top++] = (pending_node){0, n_rows, 0, -1};
     status = 0;
     while (top > 0) {
         pending_node at = stack[--top];
         int64_t node = count++;
-        if (at.parent >= 0)
-            (at.is_right ? right : left)[at.parent] = (int32_t)node;
+        if (at.right_of >= 0)
+            nodes[at.right_of].right = (int32_t)node;
         int64_t *seg = rows + at.start, n = at.n;
         double gsum = row_sum(g, seg, n), hsum = row_sum(h, seg, n);
 
@@ -286,10 +307,7 @@ int memlog_grow_tree(const double *Xt, int64_t *order, int64_t n_features, int64
 
         if (best_f < 0) {
             double denom = hsum + lam;
-            feature[node] = -1;
-            threshold[node] = 0.0;
-            left[node] = right[node] = -1;
-            value[node] = denom != 0.0 ? -gsum / denom : 0.0;
+            nodes[node] = (tree_node){-1, 0.0, -1, -1, denom != 0.0 ? -gsum / denom : 0.0};
             for (int64_t i = 0; i < n; i++)
                 leaf_of_row[seg[i]] = node;
             continue;
@@ -297,7 +315,9 @@ int memlog_grow_tree(const double *Xt, int64_t *order, int64_t n_features, int64
 
         const double *x = Xt + best_f * n_rows;
         const int64_t *ord = order + best_f * n_rows + at.start;
-        double t = (x[ord[lo - 1 + best_j]] + x[ord[lo + best_j]]) / 2.0;
+        double a = x[ord[lo - 1 + best_j]], b = x[ord[lo + best_j]], t = (a + b) / 2.0;
+        if (!(a < t && t <= b))
+            t = b;
         for (int64_t i = 0; i < n; i++)
             goes_left[seg[i]] = x[seg[i]] < t;
         int64_t n_left = partition(seg, n, goes_left, spill);
@@ -307,12 +327,11 @@ int memlog_grow_tree(const double *Xt, int64_t *order, int64_t n_features, int64
         }
         for (int64_t f = 0; f < n_features; f++)
             partition(order + f * n_rows + at.start, n, goes_left, spill);
-        feature[node] = (int32_t)best_f;
-        threshold[node] = t;
-        value[node] = 0.0;
-        /* the left child is taken next, so its subtree precedes the right one */
-        stack[top++] = (pending_node){at.start + n_left, n - n_left, at.depth + 1, node, 1};
-        stack[top++] = (pending_node){at.start, n_left, at.depth + 1, node, 0};
+        /* the left child is taken next, so it is node + 1 and its subtree
+         * precedes the right child, which is linked when it is taken */
+        nodes[node] = (tree_node){(int32_t)best_f, t, (int32_t)(node + 1), -1, 0.0};
+        stack[top++] = (pending_node){at.start + n_left, n - n_left, at.depth + 1, node};
+        stack[top++] = (pending_node){at.start, n_left, at.depth + 1, -1};
     }
     *n_nodes = count;
 

@@ -93,8 +93,8 @@ def _non_negative_float(text: str) -> float:
 
 def _bind_address(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected host:port, got {text!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise argparse.ArgumentTypeError(f"expected host:port, port 0-65535, got {text!r}")
     return host, int(port)
 
 
@@ -316,7 +316,7 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=1, help="global random seed")
+    common.add_argument("--seed", type=_non_negative_int, default=1, help="global random seed")
 
     gen = sub.add_parser("gen", parents=[common], help="write a synthetic labeled corpus")
     gen.add_argument("--out", required=True, help="output directory")

@@ -6,7 +6,7 @@ Python, ``null`` in JSON), never as 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,22 +41,9 @@ class MetricsReport:
     confusion: Optional[ConfusionMatrix] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "acc": self.acc,
-            "ppv": self.ppv,
-            "tpr": self.tpr,
-            "fpr": self.fpr,
-            "fnr": self.fnr,
-            "f1": self.f1,
-            "auc": self.auc,
-        }
-        if self.confusion is not None:
-            out["confusion"] = {
-                "tp": self.confusion.tp,
-                "fn": self.confusion.fn,
-                "fp": self.confusion.fp,
-                "tn": self.confusion.tn,
-            }
+        out = asdict(self)
+        if self.confusion is None:
+            del out["confusion"]
         return out
 
 

@@ -24,10 +24,10 @@ the three compiled training kernels, beside the skip-gram epoch and the
 negative-sample lookup: C where a compiler is present, the numpy
 reference elsewhere, with the same nodes either way.
 
-A tree is one array of ``_NODE`` records, the model file's own node
-layout, so saving writes each tree's bytes and loading reads them back
-with no per-node step.  The array is read-only: a model never changes
-after it is built or loaded.
+A tree is one array of ``kernels._NODE`` records, the model file's own
+node layout, which both tree growers emit, so saving writes each tree's
+bytes and loading reads them back with no per-node step.  The array is
+read-only: a model never changes after it is built or loaded.
 """
 from __future__ import annotations
 
@@ -47,6 +47,7 @@ from .errors import (
     TooFewRows,
     VersionMismatch,
 )
+from .kernels import _NODE
 from .logmodel import Label
 
 MODEL_MAGIC = b"MLGB"
@@ -66,17 +67,9 @@ class GbdtParams:
     min_leaf: int = 5
 
 
-#: One tree node, in memory and in the model file: packed little-endian
-#: (i32 feature, f64 threshold, i32 left, i32 right, f64 value), 28 bytes.
-#: ``feature < 0`` marks a leaf; ``left`` and ``right`` index the same tree.
-_NODE = np.dtype(
-    [("feature", "<i4"), ("threshold", "<f8"), ("left", "<i4"), ("right", "<i4"), ("value", "<f8")]
-)
-
-
 @dataclass(frozen=True, eq=False)
 class RegressionTree:
-    """One tree as a read-only copy of its ``_NODE`` records, in preorder."""
+    """One tree as a read-only copy of its ``kernels._NODE`` records, in preorder."""
 
     nodes: np.ndarray
 
@@ -142,14 +135,6 @@ def _validate_features(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _tree(columns) -> RegressionTree:
-    """A tree from its node columns, in the order of ``_NODE``."""
-    nodes = np.empty(len(columns[0]), dtype=_NODE)
-    for name, column in zip(_NODE.names, columns):
-        nodes[name] = column
-    return RegressionTree(nodes)
-
-
 def train_classifier(X: np.ndarray, y: np.ndarray, params: GbdtParams | None = None) -> GbdtModel:
     """Train a boosted classifier; deterministic for identical inputs."""
     params = params or GbdtParams()
@@ -177,10 +162,10 @@ def train_classifier(X: np.ndarray, y: np.ndarray, params: GbdtParams | None = N
         sig = _stable_sigmoid(margins)
         g = sig - y
         h = sig * (1.0 - sig)
-        columns, leaf_of_row = kernels.grow_tree(
+        nodes, leaf_of_row = kernels.grow_tree(
             Xt, order, g, h, params.lambda_, params.min_leaf, params.max_depth
         )
-        tree = _tree(columns)
+        tree = RegressionTree(nodes)
         trees.append(tree)
         margins += params.shrinkage * tree.nodes["value"][leaf_of_row]
         loss = log_loss(margins, y)
@@ -222,7 +207,7 @@ def classify(score: float, threshold: float = DEFAULT_THRESHOLD) -> Label:
 #
 # Layout (little-endian): magic "MLGB", u32 version, u64 tree count,
 # u64 max_depth, f64 shrinkage, f64 lambda, f64 base_score, then each
-# tree as u32 node count followed by its ``_NODE`` records, the bytes of
+# tree as u32 node count followed by its ``kernels._NODE`` records, the bytes of
 # ``RegressionTree.nodes``.
 
 _HEADER = struct.Struct("<QQddd")

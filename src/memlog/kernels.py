@@ -15,7 +15,9 @@ also the fallback when there is no compiler, and a C port in
 - the growth of one boosted tree, ``grow_tree``: ``_grow_tree_numpy``
   recurses node by node and calls ``best_split``, the split search, which
   the tests tie to an exhaustive oracle; ``_grow_tree_native`` grows the
-  whole tree in one call, with the same sums, gains, ties and partitions.
+  whole tree in one call, with the same sums, gains, ties, thresholds and
+  partitions.  Both return the tree as ``_NODE`` records, the layout the
+  model file stores, which the C grower writes directly.
 
 Each pair is bit-identical: same operand types, same accumulation order,
 no fused or reordered arithmetic, and all randomness is drawn outside the
@@ -151,8 +153,11 @@ def _draw_negatives_numpy(cdf, draws):
 # --------------------------------------------------------------------------
 # gradient-boosted tree split search
 #
-# Exact greedy search over all features and all midpoints between
-# consecutive distinct sorted values.  Gain for a candidate split:
+# Exact greedy search over all features and all cuts between consecutive
+# distinct sorted values a < b.  A cut's threshold is the midpoint of a and
+# b, or b itself when the midpoint is not in (a, b] (it rounded onto a, or
+# a + b overflowed), so ``x < threshold`` always leaves a row on each
+# side.  Gain for a candidate split:
 #
 #     1/2 * (GL^2/(HL+lam) + GR^2/(HR+lam) - G^2/(H+lam))
 #
@@ -199,7 +204,9 @@ def best_split(order, Xt, g, h, gtot, htot, lam, min_leaf):
     if not hits.any():  # an infinite best leaves a NaN cutoff
         return -1, 0.0, 0.0
     f, i = divmod(int(hits.argmax()), gains.shape[1])
-    return f, float((xs[f, i] + xs[f, i + 1]) / 2.0), float(gains[f, i])
+    a, b = float(xs[f, i]), float(xs[f, i + 1])  # Python floats: an overflow gives inf, no warning
+    t = (a + b) / 2.0
+    return f, (t if a < t <= b else b), float(gains[f, i])
 
 
 # --------------------------------------------------------------------------
@@ -211,11 +218,16 @@ def best_split(order, Xt, g, h, gtot, htot, lam, min_leaf):
 # where ``best_split`` says; rows with ``Xt[feature] < threshold`` go left,
 # and filtering each feature's order keeps it sorted, so no node sorts
 # again.  A leaf weighs -G/(H+lam), or 0 when H+lam == 0 (lambda 0, every
-# margin saturated).  Returns the node columns (feature, threshold, left,
-# right, value), in the order and types of ``gbdt._NODE``, and the leaf
-# each row lands in.
+# margin saturated).  Returns the tree as ``_NODE`` records in preorder,
+# and the leaf each row lands in.
 
-_COLUMN_TYPES = (np.int32, np.float64, np.int32, np.int32, np.float64)
+#: One tree node, in memory, in the C grower's output and in the model
+#: file: packed little-endian (i32 feature, f64 threshold, i32 left, i32
+#: right, f64 value), 28 bytes, the ``tree_node`` of ``_native.c``.
+#: ``feature < 0`` marks a leaf; ``left`` and ``right`` index the same tree.
+_NODE = np.dtype(
+    [("feature", "<i4"), ("threshold", "<f8"), ("left", "<i4"), ("right", "<i4"), ("value", "<f8")]
+)
 
 
 class _TreeBuilder:
@@ -264,17 +276,14 @@ class _TreeBuilder:
 def _grow_tree_numpy(Xt, order, g, h, lam, min_leaf, max_depth):
     builder = _TreeBuilder(Xt, g, h, lam, min_leaf, max_depth)
     builder.build(np.arange(Xt.shape[1], dtype=np.int64), order, 0)
-    columns = tuple(
-        np.array(column, dtype=kind) for column, kind in zip(zip(*builder.nodes), _COLUMN_TYPES)
-    )
-    return columns, builder.leaf_of_row
+    return np.array(builder.nodes, dtype=_NODE), builder.leaf_of_row
 
 
 # --------------------------------------------------------------------------
 # boosted-tree inference
 #
 # A forest is one tuple per tree of its node columns as lists, in the
-# order of ``gbdt._NODE``: (features, thresholds, lefts, rights, values);
+# order of ``_NODE``: (features, thresholds, lefts, rights, values);
 # ``features[node] < 0`` marks a leaf and every walk starts at node 0.
 # Margin = base + shrinkage * sum of leaf values, trees visited in training
 # order.  Callers score one row (the service) or a few hundred (``train``,
@@ -302,9 +311,10 @@ def predict_margin(forest, rows, base, shrinkage):
 #
 # The wrappers vet every array before handing its raw pointer to C: dtype
 # and layout (``_array``), shapes, that every index the kernel follows
-# (token ids, negatives, the tree's row orders) is in range, and that
-# every value the lookup turns into an index (cdf, draws) is finite and
-# ordered as it assumes.  They check once per call, never per node.
+# (token ids, negatives, the tree's row orders) is in range, that every
+# value the lookup turns into an index (cdf, draws) is finite and ordered
+# as it assumes, and that the tree's features hold no NaN, around which no
+# threshold splits.  They check once per call, never per node.
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native.c")
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
@@ -371,9 +381,7 @@ def _load(path: str):
     lib.memlog_sgns_epoch.restype = ctypes.c_int
     lib.memlog_draw_negatives.argtypes = (p, i64, p, i64, p)
     lib.memlog_draw_negatives.restype = ctypes.c_int
-    lib.memlog_grow_tree.argtypes = (
-        p, p, i64, i64, p, p, f64, i64, i64, f64, f64, i64, p, p, p, p, p, p, p
-    )
+    lib.memlog_grow_tree.argtypes = (p, p, i64, i64, p, p, f64, i64, i64, f64, f64, i64, p, p, p)
     lib.memlog_grow_tree.restype = ctypes.c_int
     return lib
 
@@ -469,12 +477,15 @@ def _grow_tree_native(Xt, order, g, h, lam, min_leaf, max_depth):
         )
     if not _in_range(order, n_rows):
         raise ValueError(f"order must lie in [0, {n_rows})")
+    # a NaN fails every comparison, so a cut beside it would leave a side empty
+    if np.isnan(Xt).any():
+        raise ValueError("Xt must not contain NaN")
     if min_leaf < 0 or max_depth < 0:
         raise ValueError(f"min_leaf {min_leaf} and max_depth {max_depth} must be >= 0")
     capacity = max(2 * n_rows - 1, 1)
     if max(capacity, n_features) > np.iinfo(np.int32).max:
         raise ValueError(f"a {n_features} x {n_rows} tree overflows the int32 node fields")
-    columns = tuple(np.empty(capacity, dtype=kind) for kind in _COLUMN_TYPES)
+    nodes = np.empty(capacity, dtype=_NODE)
     leaf_of_row = np.empty(n_rows, dtype=np.int64)
     work = order.copy()  # the kernel partitions it in place
     count = ctypes.c_int64()
@@ -483,15 +494,14 @@ def _grow_tree_native(Xt, order, g, h, lam, min_leaf, max_depth):
     status = _native().memlog_grow_tree(
         Xt.ctypes.data, work.ctypes.data, n_features, n_rows, g.ctypes.data, h.ctypes.data,
         float(lam), min(int(min_leaf), n_rows), min(int(max_depth), n_rows),
-        GAIN_TIE_REL, GAIN_TIE_ABS, capacity, *(c.ctypes.data for c in columns),
+        GAIN_TIE_REL, GAIN_TIE_ABS, capacity, nodes.ctypes.data,
         leaf_of_row.ctypes.data, ctypes.byref(count),
     )
     if status == 1:
-        # a split sent every row one way; the reference defines what follows
-        return _grow_tree_numpy(Xt, order, g, h, lam, min_leaf, max_depth)
+        raise RuntimeError("native tree growth met a split that sends every row one way")
     if status != 0:
         raise MemoryError("native tree growth could not allocate its scratch buffers")
-    return tuple(c[: count.value] for c in columns), leaf_of_row
+    return nodes[: count.value], leaf_of_row
 
 
 # --------------------------------------------------------------------------

@@ -12,9 +12,12 @@ UTF-8).  Parsing canonical output is always clean, so
 ``parse(serialize(parse(x)))`` yields an empty report for any ``x``.
 
 The dataclasses below are the schema: a field is named only there, and its
-type decides how it is read and written.  At import, ``_SCHEMA`` turns them
-into one table per block class that drives parsing, cleaning and
-serialization alike.
+type decides how it is read.  At import, ``_SCHEMA`` turns them into one
+table per block class, (attribute, JSON key, reader, reader argument) per
+field, that drives parsing and cleaning.  Writing needs no second table:
+``serialize_log`` is ``json.dumps`` of the log itself, whose hook writes a
+block as its JSON keys from ``_SCHEMA``, an Enum as its value and bytes as
+hex.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import math
 import re
 from dataclasses import Field, dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import Any, Callable, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import EmptyDocument, NotJson, OversizeLog
 
@@ -243,14 +246,6 @@ class CleaningReport:
     parse_repairs: int = 0
 
     @property
-    def dropped_count(self) -> int:
-        return len(self.dropped_fields)
-
-    @property
-    def normalized_count(self) -> int:
-        return len(self.normalized_fields)
-
-    @property
     def empty(self) -> bool:
         return (
             not self.dropped_fields
@@ -428,78 +423,37 @@ def _read_bytes_map(value, prefix: str, key: str, report: CleaningReport, _arg) 
 
 
 # --------------------------------------------------------------------------
-# field dumpers: field value -> plain JSON value
-
-
-def _enum_value(value) -> Optional[str]:
-    return value.value if value is not None else None
-
-
-def _dump_hex_map(value: dict[str, str]) -> dict[str, str]:
-    return dict(sorted(value.items()))
-
-
-def _dump_bytes_map(value: dict[str, bytes]) -> dict[str, str]:
-    return {name: data.hex() for name, data in sorted(value.items())}
-
-
-def _dump_block(block) -> dict:
-    out: dict[str, Any] = {}
-    for attr, key, _read, _arg, dump in _SCHEMA[type(block)]:
-        value = getattr(block, attr)
-        out[key] = value if dump is None else dump(value)
-    return out
-
-
-def _dump_optional_block(block) -> Optional[dict]:
-    return None if block is None else _dump_block(block)
-
-
-def _dump_block_list(blocks: list) -> list[dict]:
-    return [_dump_block(block) for block in blocks]
-
-
-# --------------------------------------------------------------------------
 # schema table
 
 
-class _Field(NamedTuple):
-    attr: str
-    key: str
-    read: Callable[[Any, str, str, CleaningReport, Any], Any]
-    arg: Any
-    #: None writes the value as it is
-    dump: Optional[Callable[[Any], Any]]
-
-
-def _codec(f: Field, hint) -> tuple[Callable, Any, Optional[Callable]]:
-    """(reader, reader argument, dumper) of a field, chosen by its type."""
+def _codec(f: Field, hint) -> tuple[Callable, Any]:
+    """(reader, reader argument) of a field, chosen by its type."""
     if hint is str:
-        return (_read_hex if f.metadata.get("hex") else _read_str), None, None
+        return (_read_hex if f.metadata.get("hex") else _read_str), None
     if hint is int:
-        return _read_int, None, None
+        return _read_int, None
     if hint is float:
-        return _read_float, f.metadata["range"], None
+        return _read_float, f.metadata["range"]
     if hint is bool:
-        return _read_bool, None, None
+        return _read_bool, None
     if hint is bytes:
-        return _read_bytes, None, bytes.hex
+        return _read_bytes, None
     if hint == list[str]:
-        return _read_str_list, None, list
+        return _read_str_list, None
     if hint == dict[str, str]:  # register name -> hex scalar
-        return _read_hex_map, None, _dump_hex_map
+        return _read_hex_map, None
     if hint == dict[str, bytes]:
-        return _read_bytes_map, None, _dump_bytes_map
+        return _read_bytes_map, None
     if get_origin(hint) is list:
-        return _read_object_list, get_args(hint)[0], _dump_block_list
+        return _read_object_list, get_args(hint)[0]
     if is_dataclass(hint):
-        return _read_object, hint, _dump_block
+        return _read_object, hint
     if get_origin(hint) is Union:  # Optional[X]
         inner = get_args(hint)[0]
         if issubclass(inner, Enum):
-            return _read_enum, inner, _enum_value
+            return _read_enum, inner
         if is_dataclass(inner):
-            return _read_optional_object, inner, _dump_optional_block
+            return _read_optional_object, inner
     raise TypeError(f"{f.name}: no reader for type {hint}")
 
 
@@ -507,27 +461,23 @@ def _build_schema(cls: type, schema: dict) -> dict:
     hints = get_type_hints(cls)
     entries = []
     for f in fields(cls):
-        read, arg, dump = _codec(f, hints[f.name])
-        entries.append(_Field(f.name, f.metadata.get("key", f.name), read, arg, dump))
+        read, arg = _codec(f, hints[f.name])
+        entries.append((f.name, f.metadata.get("key", f.name), read, arg))
         if is_dataclass(arg) and arg not in schema:
             _build_schema(arg, schema)
     schema[cls] = tuple(entries)
     return schema
 
 
-#: Every block class reachable from CanonicalLog -> its fields in field order.
-_SCHEMA: dict[type, tuple[_Field, ...]] = _build_schema(CanonicalLog, {})
-
-#: (key, reader, argument) of each field: the parser's view of _SCHEMA.
-#: Unpacking these three-tuples in the per-block loop, rather than _Field,
-#: parses 200 KB logs about 10% faster.
-_READERS = {cls: tuple((f.key, f.read, f.arg) for f in table) for cls, table in _SCHEMA.items()}
+#: Every block class reachable from CanonicalLog -> (attr, key, reader,
+#: reader argument) of each of its fields, in field order.
+_SCHEMA: dict[type, tuple[tuple[str, str, Callable, Any], ...]] = _build_schema(CanonicalLog, {})
 
 
 def _read_block(cls: type, obj: dict, prefix: str, report: CleaningReport):
     """Build ``cls`` positionally, field by field, from the raw dict ``obj``."""
     get = obj.get
-    return cls(*[read(get(key), prefix, key, report, arg) for key, read, arg in _READERS[cls]])
+    return cls(*[read(get(key), prefix, key, report, arg) for _, key, read, arg in _SCHEMA[cls]])
 
 
 #: pe_type implies arch: PE32 images are x86, PE32+ images are x64.
@@ -601,13 +551,18 @@ def parse_log(raw: bytes | str, max_bytes: int = DEFAULT_MAX_BYTES) -> tuple[Can
     return log, report
 
 
-def log_to_dict(log: CanonicalLog) -> dict:
-    """Plain-dict form of a log, using canonical JSON field spellings."""
-    return _dump_block(log)
+def _plain(value):
+    """``json.dumps`` hook: bytes as hex, an Enum as its value, a block as its keyed fields."""
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, Enum):
+        return value.value
+    return {key: getattr(value, attr) for attr, key, _read, _arg in _SCHEMA[type(value)]}
 
 
 def serialize_log(log: CanonicalLog) -> bytes:
     """Canonical JSON bytes: sorted keys, compact separators, UTF-8."""
     return json.dumps(
-        log_to_dict(log), sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
+        log, default=_plain, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+        allow_nan=False,
     ).encode("utf-8")

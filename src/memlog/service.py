@@ -21,7 +21,7 @@ import logging
 import signal
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
@@ -58,13 +58,7 @@ class DetectionResult:
     latency_ms: float
 
     def to_dict(self) -> dict:
-        return {
-            "score": self.score,
-            "verdict": self.verdict.value,
-            "threshold": self.threshold,
-            "model_version": self.model_version,
-            "latency_ms": self.latency_ms,
-        }
+        return {**asdict(self), "verdict": self.verdict.value}
 
 
 class DetectorService:

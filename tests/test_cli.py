@@ -181,6 +181,13 @@ class TestParsing:
         assert result.returncode == 2, result.stderr
         assert flag in result.stderr
 
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    def test_negative_seed_is_usage_error(self, workspace, tmp_path, command):
+        source = {"gen": ("--out", tmp_path / "c"), "train": ("--corpus", workspace["corpus"])}
+        result = run_cli(command, *source[command], "--seed", "-1")
+        assert result.returncode == 2, result.stderr
+        assert "--seed" in result.stderr and "Traceback" not in result.stderr
+
 
 class TestGen:
     def test_deterministic_output(self, tmp_path):
@@ -449,6 +456,16 @@ class TestServe:
                          "--embeddings", workspace["embeddings"],
                          "--model", workspace["model"])
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_port_out_of_range_is_usage_error(self, workspace, tmp_path, source):
+        config = tmp_path / "serve.conf"
+        config.write_text("bind = 127.0.0.1:99999\n")
+        bind = ("--bind", "127.0.0.1:65536") if source == "flag" else ("--config", config)
+        result = run_cli("serve", *bind, "--embeddings", workspace["embeddings"],
+                         "--model", workspace["model"])
+        assert result.returncode == 2, result.stderr
+        assert "0-65535" in result.stderr and "Traceback" not in result.stderr
 
     def test_config_file_supplies_paths(self, workspace, tmp_path):
         config = tmp_path / "serve.conf"

@@ -1,7 +1,9 @@
 """Boosted-tree training checked against an exhaustive split-enumeration oracle.
 
-The oracle enumerates every (feature, midpoint-threshold) candidate with
-BLAS-summed partitions, then applies the documented tie rule: among all
+The oracle enumerates every (feature, threshold) candidate with
+BLAS-summed partitions; the threshold between adjacent distinct values
+a < b is their midpoint, or b when the midpoint is not in (a, b].  Then
+it applies the documented tie rule: among all
 candidates whose gain is within the relative tie band of the maximum,
 pick the lowest feature index, then the lowest threshold.  Training is
 replayed tree by tree so every internal node of every tree is checked
@@ -11,6 +13,7 @@ import dataclasses
 import hashlib
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -67,7 +70,11 @@ def oracle_best_split(X, g, h, lam, min_leaf):
         uniq = np.unique(column)
         if uniq.size < 2:
             continue
-        thresholds = (uniq[:-1] + uniq[1:]) / 2.0
+        lower, upper = uniq[:-1], uniq[1:]
+        with np.errstate(over="ignore"):
+            middle = (lower + upper) / 2.0
+        # a midpoint outside (lower, upper] rounded onto lower or overflowed: cut at upper
+        thresholds = np.where((lower < middle) & (middle <= upper), middle, upper)
         left = column[None, :] < thresholds[:, None]
         left_sizes = left.sum(axis=1)
         ok = (left_sizes >= min_leaf) & (n - left_sizes >= min_leaf)
@@ -252,6 +259,20 @@ class TestSplitOracle:
             X, y = random_dataset(rng, n_rows=int(rng.integers(40, 120)))
             train_classifier(np.round(X, 1), y, GbdtParams(trees=3, max_depth=4, min_leaf=2))
         assert len(nodes) > 6 * 3 and min(nodes) < 40
+
+    @pytest.mark.parametrize("a, b", [(1.0, np.nextafter(1.0, 2.0)), (1.5e308, 1.7e308)])
+    def test_a_midpoint_outside_its_pair_cuts_at_the_upper_value(self, monkeypatch, a, b):
+        # (a + b) / 2 rounds onto a, or overflows to inf; either threshold
+        # would send every row one way, so both growers cut at b.
+        X, y = np.array([[a], [b]] * 2), np.array([0, 1, 0, 1])
+        models = []
+        for grow in dict.fromkeys((kernels.grow_tree, kernels._grow_tree_numpy)):
+            monkeypatch.setattr(kernels, "grow_tree", grow)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                models.append(replay_and_check(X, y, GbdtParams(trees=1, max_depth=3, min_leaf=1)))
+            assert float(models[-1].trees[0].nodes["threshold"][0]) == b
+        assert all(model == models[0] for model in models)
 
     def test_duplicated_feature_ties_to_lower_index(self):
         # Identical columns produce identical gains; the tie band must

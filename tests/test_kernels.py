@@ -124,13 +124,28 @@ class TestBackendSelection:
         assert list(cache.iterdir()) == []
 
 
+@pytest.mark.skipif(kernels._COMPILER is None, reason="no C compiler on PATH")
+def test_native_source_compiles_cleanly_as_c11(tmp_path):
+    strict = ("-std=c11", "-Wall", "-Wextra", "-Wpedantic", "-Werror", "-O3", "-c")
+    result = subprocess.run(
+        [kernels._COMPILER, *strict, "-o", str(tmp_path / "native.o"), kernels._SOURCE],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 class TestSplitParity:
     def test_numpy_matches_exhaustive_oracle(self):
         cases = [(*split_inputs(seed), leaf) for seed in range(20) for leaf in (1, 5, 20)]
         # an exact tie inside one feature: thresholds 0.5 and 2.5 both gain 0.375
         cases.append((np.arange(4.0)[:, None], np.array([1.0, -1.0, -1.0, 1.0]), np.ones(4), 1))
+        # midpoints that round onto the lower value or overflow: the upper value is the threshold
+        for a, b in ((1.0, np.nextafter(1.0, 2.0)), (-1.7e308, -1.5e308), (1.5e308, 1.7e308)):
+            cases.append((np.array([[a], [b]] * 2), np.array([1.0, -1.0] * 2), np.ones(4), 1))
         for X, g, h, min_leaf in cases:
-            feature, threshold, _ = root_split(X, g, h, 1.0, min_leaf)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                feature, threshold, _ = root_split(X, g, h, 1.0, min_leaf)
             assert (feature, threshold) == oracle_best_split(X, g, h, 1.0, min_leaf)[:2]
 
     def test_degenerate_inputs(self):
@@ -166,10 +181,10 @@ class TestGrowTreeParity:
         native, native_leaves = kernels._grow_tree_native(Xt, order, g, h, lam, min_leaf, max_depth)
         reference, leaves = kernels._grow_tree_numpy(Xt, order, g, h, lam, min_leaf, max_depth)
         assert np.array_equal(order, kept)  # the kernel partitions its own copy
-        assert [c.dtype for c in native] == [c.dtype for c in reference]
-        assert [c.tobytes() for c in native] == [c.tobytes() for c in reference]
+        assert native.dtype == reference.dtype == kernels._NODE
+        assert native.tobytes() == reference.tobytes()
         assert np.array_equal(native_leaves, leaves)
-        return len(reference[0])
+        return len(reference)
 
     def test_oracle_cases(self):
         nodes = 0
@@ -214,21 +229,19 @@ class TestGrowTreeParity:
         # sums start from the first term, so a leaf of -0.0 gradients weighs +0.0
         assert self.assert_same_tree(X, np.where(X[:, 0] > 0, g, -0.0), h, 1.0, 1, 6) > 1
 
-    def test_a_threshold_that_sends_every_row_one_way(self, monkeypatch):
-        # The midpoint of 1.0 and the next double rounds to 1.0, so no row
-        # goes left.  The native grower hands such a tree to the reference,
-        # which cannot build the empty child and raises.
-        one, above = 1.0, np.nextafter(1.0, 2.0)
-        Xt, order = sorted_columns([[one], [above], [one], [above]])
-        args = (Xt, order, np.array([0.5, -0.5, 0.5, -0.5]), np.full(4, 0.25), 1.0, 1, 3)
-        with pytest.raises(ValueError) as reference:
-            kernels._grow_tree_numpy(*args)
-        deferred = []
-        grow = kernels._grow_tree_numpy
-        monkeypatch.setattr(kernels, "_grow_tree_numpy", lambda *a: deferred.append(a) or grow(*a))
-        with pytest.raises(ValueError) as native:
-            kernels._grow_tree_native(*args)
-        assert len(deferred) == 1 and str(native.value) == str(reference.value)
+    def test_a_threshold_that_sends_every_row_one_way(self):
+        # The midpoint of 1.0 and the next double rounds to 1.0, and that of
+        # 1.5e308 and 1.7e308 overflows to inf; as a threshold either would
+        # send every row one way, so both growers cut at the upper value.
+        g, h = np.array([0.5, -0.5, 0.5, -0.5]), np.full(4, 0.25)
+        for a, b in ((1.0, np.nextafter(1.0, 2.0)), (1.5e308, 1.7e308)):
+            X = [[a], [b], [a], [b]]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert self.assert_same_tree(X, g, h, 1.0, 1, 3) == 3
+            nodes, leaves = kernels._grow_tree_native(*sorted_columns(X), g, h, 1.0, 1, 3)
+            assert nodes["threshold"][0] == b
+            assert leaves.tolist() == [1, 2, 1, 2]
 
 
 IMPLS = [
@@ -405,6 +418,9 @@ class TestNativeInputChecks:
         for bad in (order + 30, order - 1, np.where(order == 0, -30, order)):
             with pytest.raises(ValueError):
                 grow(order=bad)
+        # a NaN fails every comparison, so no threshold beside it splits the rows
+        with pytest.raises(ValueError, match="NaN"):
+            grow(Xt=np.where(Xt > 1.0, np.nan, Xt))
         for bad in (
             dict(order=order[:, :-1]), dict(order=order[:-1]), dict(Xt=Xt[:, :-1]),
             dict(g=g[:-1]), dict(h=np.append(h, 0.5)), dict(min_leaf=-1), dict(max_depth=-1),

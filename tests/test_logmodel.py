@@ -29,7 +29,6 @@ from memlog.logmodel import (
     ResourceEntry,
     Runtime,
     SectionInfo,
-    log_to_dict,
     parse_log,
     serialize_log,
 )
@@ -105,7 +104,7 @@ class TestCleaningRules:
         log, report = parse_log(b'{"metadata":{"thread_count":"abc"}}')
         assert log.metadata.thread_count == 0
         assert report.dropped_fields == ["metadata.thread_count"]
-        assert report.dropped_count == 1
+        assert len(report.dropped_fields) == 1
 
     def test_non_finite_count_dropped(self):
         for number in (b"1e400", b"-1e400"):
@@ -225,9 +224,9 @@ class TestSerialization:
         relog, _ = parse_log(blob)
         assert serialize_log(relog) == blob
 
-    def test_log_to_dict_uses_plain_values(self):
+    def test_serialized_log_uses_plain_values(self):
         log, _ = parse_log(b'{"label":"malicious","metadata":{"integrity_level":"low"}}')
-        data = log_to_dict(log)
+        data = json.loads(serialize_log(log))
         assert data["label"] == "malicious"
         assert data["metadata"]["integrity_level"] == "low"
 
@@ -309,7 +308,7 @@ class TestSchemaDoc:
                 section = line[3:].strip("` ")
             elif line.startswith("| `"):
                 documented.setdefault(section, []).append(line.split("|")[1].strip(" `"))
-        data = log_to_dict(CanonicalLog(pe=PeBlock()))
+        data = json.loads(serialize_log(CanonicalLog(pe=PeBlock())))
         for section, block in (
             ("Top level", data),
             ("anonymized", data["anonymized"]),
@@ -329,8 +328,8 @@ class TestParseTotality:
         except DECLARED:
             return
         assert isinstance(log, CanonicalLog)
-        assert report.dropped_count == len(report.dropped_fields)
-        assert report.normalized_count == len(report.normalized_fields)
+        paths = report.dropped_fields + report.normalized_fields
+        assert all(isinstance(path, str) for path in paths)
 
     @given(
         st.dictionaries(

@@ -1,10 +1,12 @@
-"""The public surface: every public function or class has a caller outside the tests.
+"""The public surface: every public function, class, method or property has
+a caller outside the tests.
 
-A public name is a top-level ``def`` or ``class`` in ``src/memlog`` whose
-name does not start with an underscore.  It has a caller when the name
-appears as a whole word in ``src/memlog``, ``perfbench`` or
-``benchmarks`` anywhere other than its own definition line.  A name the
-tests alone use is dead code, unless it is listed below with a reason.
+A public name is a top-level ``def`` or ``class`` in ``src/memlog``, or a
+``def`` in the body of such a class, whose name does not start with an
+underscore.  It has a caller when the name appears as a whole word in
+``src/memlog``, ``perfbench`` or ``benchmarks`` anywhere other than its
+own definition line.  A name the tests alone use is dead code, unless it
+is listed below with a reason.
 """
 import ast
 import re
@@ -21,12 +23,17 @@ ALLOWED = {
 }
 
 
-def public_definitions():
+def public_definitions(body):
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name
+            if isinstance(node, ast.ClassDef):
+                yield from public_definitions(node.body)
+
+
+def public_names():
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            is_definition = isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            if is_definition and not node.name.startswith("_"):
-                yield node.name
+        yield from public_definitions(ast.parse(path.read_text(encoding="utf-8")).body)
 
 
 def word_count(name: str) -> int:
@@ -39,7 +46,7 @@ def word_count(name: str) -> int:
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    names = list(public_definitions())
-    assert "train_classifier" in names and "cmd_agent" in names
+    names = list(public_names())
+    assert "train_classifier" in names and "cmd_agent" in names and "node_count" in names
     uncalled = sorted(name for name in names if word_count(name) < 2)
     assert uncalled == sorted(ALLOWED)
