@@ -2,9 +2,10 @@
  * the negative-sample lookup and the growth of one boosted tree.
  *
  * Each computes what its numpy reference in kernels.py computes:
- * memlog_sgns_epoch with the same operand types and evaluation order as
- * kernels._sgns_epoch_numpy, memlog_draw_negatives the same integers as
- * np.searchsorted, memlog_grow_tree the same tree_node records as
+ * memlog_sgns_epoch, one update rule for every target of a skip-gram pair,
+ * with the same operand types and evaluation order as
+ * kernels._sgns_epoch_numpy; memlog_draw_negatives the same integers as
+ * np.searchsorted; memlog_grow_tree the same tree_node records as
  * kernels._grow_tree_numpy.  Built with -O3 but without fast-math and
  * with -ffp-contract=off, so no operation is fused or reordered (gcc
  * vectorizes only element-wise updates; every sum stays sequential) and
@@ -22,7 +23,8 @@
 #include <string.h>
 
 /* ------------------------------------------------------------------------
- * skip-gram with negative sampling: kernels._sgns_epoch_numpy
+ * skip-gram with negative sampling: kernels._sgns_epoch_numpy, whose
+ * comment states the one rule this loop applies to every target of a pair
  */
 
 int memlog_sgns_epoch(const int32_t *ids, const int64_t *offsets, int64_t n_sentences,
@@ -52,49 +54,26 @@ int memlog_sgns_epoch(const int32_t *ids, const int64_t *offsets, int64_t n_sent
                 for (int64_t d = 0; d < dim; d++)
                     grad_v[d] = 0.0f;
 
-                float *u = vout + (int64_t)context * dim;
-                double score = 0.0;
-                for (int64_t d = 0; d < dim; d++)
-                    score += (double)(u[d] * v[d]);
-                double sig, e;
-                if (score >= 0.0) {
-                    sig = 1.0 / (1.0 + exp(-score));
-                    loss += log1p(exp(-score));
-                } else {
-                    e = exp(score);
-                    sig = e / (1.0 + e);
-                    loss += log1p(e) - score;
-                }
-                float g = (float)((1.0 - sig) * lr);
-                for (int64_t d = 0; d < dim; d++) {
-                    grad_v[d] += g * u[d];
-                    u[d] += g * v[d];
-                }
-
-                for (int64_t n = 0; n < k; n++) {
-                    int32_t target = negatives[pair * k + n];
-                    if (target == context)
+                for (int64_t n = 0; n <= k; n++) {
+                    /* target 0 is the context (label 1), the rest the negatives (label 0) */
+                    int32_t target = n == 0 ? context : negatives[pair * k + n - 1];
+                    if (n > 0 && target == context)
                         continue;
-                    u = vout + (int64_t)target * dim;
-                    score = 0.0;
+                    float *u = vout + (int64_t)target * dim;
+                    double score = 0.0;
                     for (int64_t d = 0; d < dim; d++)
                         score += (double)(u[d] * v[d]);
-                    if (score >= 0.0) {
-                        e = exp(-score);
-                        sig = 1.0 / (1.0 + e);
-                        loss += log1p(e) + score;
-                    } else {
-                        e = exp(score);
-                        sig = e / (1.0 + e);
-                        loss += log1p(e);
-                    }
-                    g = (float)(-sig * lr);
+                    double e = exp(-fabs(score));
+                    double sig = score >= 0.0 ? 1.0 / (1.0 + e) : e / (1.0 + e);
+                    double z = n == 0 ? -score : score;
+                    loss += z > 0.0 ? log1p(e) + z : log1p(e);
+                    /* not label - sig: 0.0 - 0.0 is +0.0 where -sig is -0.0 */
+                    float g = (float)((n == 0 ? 1.0 - sig : -sig) * lr);
                     for (int64_t d = 0; d < dim; d++) {
                         grad_v[d] += g * u[d];
                         u[d] += g * v[d];
                     }
                 }
-
                 for (int64_t d = 0; d < dim; d++)
                     v[d] += grad_v[d];
                 pair++;

@@ -163,6 +163,8 @@ def holdout_split(labels: Sequence[int], spec: SplitSpec | None = None) -> tuple
     benign = perm[y[perm] == BENIGN]
 
     test_size = spec.test_size if spec.test_size is not None else (n // 4) & ~1
+    if spec.test_size is None and test_size < 2:
+        raise InsufficientClassCount(f"pool has {n} examples, the default test set needs at least 8")
     if test_size < 2 or test_size % 2 != 0:
         raise ValueError(f"test size must be an even count >= 2, got {test_size}")
     half = test_size // 2

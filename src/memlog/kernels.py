@@ -68,9 +68,15 @@ GAIN_TIE_ABS = 1e-15
 # pair at global index t (continuing across epochs via ``pair_base``),
 # the learning rate decays linearly from lr0 to lr_floor over
 # ``total_pairs`` updates, and row t-pair_base of ``negatives`` supplies
-# the pre-drawn negative token ids.  Negatives equal to the positive
-# context are skipped.  Updates both matrices in place; returns the
-# summed pair loss for diagnostics.
+# the pre-drawn negative token ids.  Updates both matrices in place;
+# returns the summed pair loss for diagnostics.
+#
+# Every target of a pair follows one rule: the context first, with label
+# 1, then each negative that is not the context, with label 0.  A target
+# u scores s = u . v (a float64 sum of float32 products) against the
+# center v, adds the softplus loss log(1 + exp(-s)) for the context or
+# log(1 + exp(s)) for a negative, and moves by (label - sigmoid(s)) * lr
+# times v; v moves once, by the sum of its pulls, after its last target.
 
 
 def count_pairs(offsets, window):
@@ -83,7 +89,6 @@ def count_pairs(offsets, window):
 
 
 def _sgns_epoch_numpy(ids, offsets, vin, vout, negatives, window, lr0, lr_floor, pair_base, total_pairs):
-    k = negatives.shape[1]
     pair = 0
     loss = 0.0
     for s in range(offsets.shape[0] - 1):
@@ -101,38 +106,20 @@ def _sgns_epoch_numpy(ids, offsets, vin, vout, negatives, window, lr0, lr_floor,
                     lr = lr_floor
                 v = vin[center]
                 grad_v = np.zeros_like(v)
-
-                # float64 running sum of float32 products, one product at a time
-                score = float(np.add.accumulate((vout[context] * v).astype(np.float64))[-1])
-                # sigmoid and softplus in overflow-safe form
-                if score >= 0.0:
-                    sig = 1.0 / (1.0 + math.exp(-score))
-                    loss += math.log1p(math.exp(-score))
-                else:
-                    e = math.exp(score)
-                    sig = e / (1.0 + e)
-                    loss += math.log1p(e) - score
-                g = np.float32((1.0 - sig) * lr)
-                grad_v += g * vout[context]
-                vout[context] += g * v
-
-                for n in range(k):
-                    target = negatives[pair, n]
-                    if target == context:
-                        continue
-                    score = float(np.add.accumulate((vout[target] * v).astype(np.float64))[-1])
-                    if score >= 0.0:
-                        e = math.exp(-score)
-                        sig = 1.0 / (1.0 + e)
-                        loss += math.log1p(e) + score
-                    else:
-                        e = math.exp(score)
-                        sig = e / (1.0 + e)
-                        loss += math.log1p(e)
-                    g = np.float32(-sig * lr)
-                    grad_v += g * vout[target]
-                    vout[target] += g * v
-
+                targets = [context, *[t for t in negatives[pair].tolist() if t != context]]
+                for n, target in enumerate(targets):
+                    u = vout[target]
+                    # float64 running sum of float32 products, one product at a time
+                    score = float(np.add.accumulate((u * v).astype(np.float64))[-1])
+                    # sigmoid and softplus in overflow-safe form
+                    e = math.exp(-abs(score))
+                    sig = 1.0 / (1.0 + e) if score >= 0.0 else e / (1.0 + e)
+                    z = score if n else -score
+                    loss += (math.log1p(e) + z) if z > 0.0 else math.log1p(e)
+                    # not label - sig: 0.0 - 0.0 is +0.0 where -sig is -0.0
+                    g = np.float32((-sig if n else 1.0 - sig) * lr)
+                    grad_v += g * u
+                    u += g * v
                 vin[center] += grad_v
                 pair += 1
     return loss
@@ -219,7 +206,8 @@ def best_split(order, Xt, g, h, gtot, htot, lam, min_leaf):
 # and filtering each feature's order keeps it sorted, so no node sorts
 # again.  A leaf weighs -G/(H+lam), or 0 when H+lam == 0 (lambda 0, every
 # margin saturated).  Returns the tree as ``_NODE`` records in preorder,
-# and the leaf each row lands in.
+# and the leaf each row lands in.  A NaN fails every comparison, so no
+# threshold beside it splits the rows: both growers refuse an ``Xt`` with one.
 
 #: One tree node, in memory, in the C grower's output and in the model
 #: file: packed little-endian (i32 feature, f64 threshold, i32 left, i32
@@ -274,6 +262,8 @@ class _TreeBuilder:
 
 
 def _grow_tree_numpy(Xt, order, g, h, lam, min_leaf, max_depth):
+    if np.isnan(Xt).any():
+        raise ValueError("Xt must not contain NaN")
     builder = _TreeBuilder(Xt, g, h, lam, min_leaf, max_depth)
     builder.build(np.arange(Xt.shape[1], dtype=np.int64), order, 0)
     return np.array(builder.nodes, dtype=_NODE), builder.leaf_of_row
@@ -477,7 +467,6 @@ def _grow_tree_native(Xt, order, g, h, lam, min_leaf, max_depth):
         )
     if not _in_range(order, n_rows):
         raise ValueError(f"order must lie in [0, {n_rows})")
-    # a NaN fails every comparison, so a cut beside it would leave a side empty
     if np.isnan(Xt).any():
         raise ValueError("Xt must not contain NaN")
     if min_leaf < 0 or max_depth < 0:

@@ -5,6 +5,7 @@ tests cover argument parsing, config layering, and error mapping exactly
 as a shell user sees them.
 """
 import dataclasses
+import hashlib
 import json
 import os
 import signal
@@ -280,6 +281,30 @@ class TestTrain:
         result = run_cli("train", "--corpus", empty, *TINY_TRAIN)
         assert result.returncode == 9
 
+    def test_corpus_too_small_for_a_test_set_fails(self, tmp_path):
+        # the default test set is a quarter of the pool, which rounds to 0 below 8 logs
+        corpus = tmp_path / "tiny"
+        assert run_cli("gen", "--out", corpus, "--malicious", "3", "--benign", "3",
+                       "--seed", "2").returncode == 0
+        result = run_cli("train", "--corpus", corpus, *TINY_TRAIN)
+        assert result.returncode == 6, result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_pinned_model_bytes(self, tmp_path):
+        # both backends write these bytes, so they pin the whole training pipeline
+        corpus, embeddings, model = tmp_path / "corpus", tmp_path / "e.mleb", tmp_path / "m.mlgb"
+        assert run_cli("gen", "--out", corpus, "--malicious", "100", "--benign", "100",
+                       "--overlap", "0.5", "--seed", "1").returncode == 0
+        result = run_cli("train", "--corpus", corpus, "--embeddings-out", embeddings,
+                         "--model-out", model, "--seed", "1")
+        assert result.returncode == 0, result.stderr
+        assert hashlib.sha256(embeddings.read_bytes()).hexdigest() == (
+            "6c64577c97b84428b71ab8afeaba974a48558864685704817589a30df82ec5fc"
+        )
+        assert hashlib.sha256(model.read_bytes()).hexdigest() == (
+            "728f609d3849f13d587ca4557c025a15886a807f0b618896789e61445763b428"
+        )
+
     def test_unlabeled_log_fails_before_training(self, tmp_path):
         corpus = tmp_path / "corpus"
         assert run_cli("gen", "--out", corpus, "--malicious", "4", "--benign", "4",
@@ -320,6 +345,16 @@ class TestEvaluate:
                          "--replay-split", "--seed", "5")
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == workspace["train_report"]
+
+    def test_replay_split_of_a_corpus_too_small_for_a_test_set_fails(self, workspace, tmp_path):
+        corpus = tmp_path / "tiny"
+        assert run_cli("gen", "--out", corpus, "--malicious", "3", "--benign", "3",
+                       "--seed", "2").returncode == 0
+        result = run_cli("evaluate", "--corpus", corpus,
+                         "--embeddings", workspace["embeddings"],
+                         "--model", workspace["model"], "--replay-split")
+        assert result.returncode == 6, result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_full_corpus_report(self, workspace):
         result = run_cli("evaluate", "--corpus", workspace["corpus"],

@@ -259,6 +259,10 @@ class TestHoldoutSplit:
             holdout_split(self.pool(10, 10), SplitSpec(test_size=20))
         with pytest.raises(InsufficientClassCount):
             holdout_split(self.pool(3, 100), SplitSpec(test_size=6))
+        # below 8 logs the default test size, a quarter of the pool rounded to even, is 0
+        for malicious, benign in ((3, 3), (4, 3), (0, 0)):
+            with pytest.raises(InsufficientClassCount):
+                holdout_split(self.pool(malicious, benign))
 
     def test_bad_parameters(self):
         labels = self.pool(50, 50)

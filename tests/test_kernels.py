@@ -10,6 +10,7 @@ both lookups must return the integers ``np.searchsorted`` returns.
 Tree inference has one implementation, a plain Python walk;
 ``tests/test_gbdt.py`` checks it against per-tree routing.
 """
+import hashlib
 import os
 import subprocess
 import sys
@@ -42,6 +43,17 @@ def sgns_inputs(seed, n_tokens=12, dim=16, window=3, k=5):
     vout = np.zeros((n_tokens, dim), dtype=np.float32)
     pairs = count_pairs(offsets, window)
     negatives = rng.integers(0, n_tokens, size=(pairs, k)).astype(np.int32)
+    return ids, offsets, vin, vout, negatives, window, pairs
+
+
+def saturating_inputs(seed, scale):
+    """``sgns_inputs`` on 5 tokens, so negatives repeat and hit the context,
+    with both matrices uniform in +-scale/2: at scale 1e3, |score| reaches
+    about 1e6, where exp(-|score|) underflows and sigmoid is exactly 0 or 1."""
+    ids, offsets, _, _, negatives, window, pairs = sgns_inputs(seed, n_tokens=5)
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore"):
+        vin, vout = (rng.random((2, 5, 16), dtype=np.float32) - np.float32(0.5)) * np.float32(scale)
     return ids, offsets, vin, vout, negatives, window, pairs
 
 
@@ -244,22 +256,33 @@ class TestGrowTreeParity:
             assert leaves.tolist() == [1, 2, 1, 2]
 
 
-IMPLS = [
-    "_sgns_epoch_numpy",
-    pytest.param(
-        "_sgns_epoch_native",
-        marks=pytest.mark.skipif(kernels.BACKEND != "native", reason="native backend inactive"),
-    ),
-]
+def both_backends(kernel):
+    """The names of ``kernel``'s numpy reference and of its native port, which
+    runs only where the native backend is active."""
+    native_only = pytest.mark.skipif(kernels.BACKEND != "native", reason="native backend inactive")
+    return [f"_{kernel}_numpy", pytest.param(f"_{kernel}_native", marks=native_only)]
+
+
+IMPLS = both_backends("sgns_epoch")
+
+
+#: Scales at which every float32 product of a saturating epoch stays finite.
+SATURATING_SCALES = (0.01, 0.1, 1.0, 10.0, 100.0, 1e3)
+#: sha256 of the loss, vin and vout of the saturating epochs of seeds 60-62
+#: over ``SATURATING_SCALES``, pinned before the context and the negatives
+#: shared one update loop.
+SATURATING_DIGEST = "bb2cdc8a635f65dd6eb557a6f4ffaf4f9180b7fed61d4c084cccb3278dabe72f"
 
 
 class TestSgnsKernels:
-    def run_epoch(self, impl, seed):
-        ids, offsets, vin, vout, negatives, window, pairs = sgns_inputs(seed)
-        loss = impl(
-            ids, offsets, vin, vout, negatives, window,
-            0.025, 0.025 * 1e-4, 0, pairs,
-        )
+    def run_epoch(self, impl, seed, scale=None):
+        inputs = sgns_inputs(seed) if scale is None else saturating_inputs(seed, scale)
+        ids, offsets, vin, vout, negatives, window, pairs = inputs
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = impl(
+                ids, offsets, vin, vout, negatives, window,
+                0.025, 0.025 * 1e-4, 0, pairs,
+            )
         return loss, vin, vout
 
     @pytest.mark.parametrize("impl_name", IMPLS)
@@ -288,6 +311,30 @@ class TestSgnsKernels:
             assert loss_c == loss_p
             assert np.array_equal(vin_c, vin_p)
             assert np.array_equal(vout_c, vout_p)
+
+    @pytest.mark.parametrize("impl_name", IMPLS)
+    def test_saturated_scores_keep_their_pinned_bits(self, impl_name):
+        digest = hashlib.sha256()
+        for seed in (60, 61, 62):
+            for scale in SATURATING_SCALES:
+                loss, vin, vout = self.run_epoch(getattr(kernels, impl_name), seed, scale)
+                if scale == 1e3:
+                    assert loss > 1e6  # some targets scored past exp's underflow
+                for out in (np.float64(loss), vin, vout):
+                    digest.update(out.tobytes())
+        assert digest.hexdigest() == SATURATING_DIGEST
+
+    @pytest.mark.skipif(kernels.BACKEND != "native", reason="native backend inactive")
+    def test_compiled_matches_python_source_when_scores_saturate(self):
+        # at 1e20 the float32 products overflow; NaNs then agree in place, not in sign bit
+        for seed in (60, 61, 62):
+            for scale in (*SATURATING_SCALES, 1e20):
+                native = self.run_epoch(kernels._sgns_epoch_native, seed, scale)
+                reference = self.run_epoch(kernels._sgns_epoch_numpy, seed, scale)
+                for a, b in zip(native, reference):
+                    assert np.array_equal(a, b, equal_nan=True)
+                    if scale < 1e20:
+                        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_numpy_epoch_implements_pair_objective(self):
         # One sentence [0, 1] at window 1 is two pairs: (0 -> 1), then
@@ -418,9 +465,6 @@ class TestNativeInputChecks:
         for bad in (order + 30, order - 1, np.where(order == 0, -30, order)):
             with pytest.raises(ValueError):
                 grow(order=bad)
-        # a NaN fails every comparison, so no threshold beside it splits the rows
-        with pytest.raises(ValueError, match="NaN"):
-            grow(Xt=np.where(Xt > 1.0, np.nan, Xt))
         for bad in (
             dict(order=order[:, :-1]), dict(order=order[:-1]), dict(Xt=Xt[:, :-1]),
             dict(g=g[:-1]), dict(h=np.append(h, 0.5)), dict(min_leaf=-1), dict(max_depth=-1),
@@ -453,6 +497,18 @@ class TestNativeInputChecks:
             kernels._draw_negatives_native(cdf, draws.astype(np.complex128))
         with pytest.raises(TypeError):
             kernels._draw_negatives_native(cdf[:, None], draws)
+
+
+@pytest.mark.parametrize("grower", both_backends("grow_tree"))
+def test_grow_tree_refuses_nan(grower):
+    # a NaN fails every comparison, so no threshold beside it splits the rows
+    X, g, h = split_inputs(45, n=30, d=4)
+    for Xnan, gnan, hnan in (
+        ([[1.0], [2.0], [np.nan], [3.0]], np.array([0.5, -0.5, 0.5, -0.5]), np.full(4, 0.25)),
+        (np.where(X > 1.0, np.nan, X), g, h),
+    ):
+        with pytest.raises(ValueError, match="Xt must not contain NaN"):
+            getattr(kernels, grower)(*sorted_columns(Xnan), gnan, hnan, 1.0, 1, 3)
 
 
 class TestBenchmarkScript:
