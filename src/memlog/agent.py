@@ -33,6 +33,8 @@ FAILED_DIRNAME = "failed"
 #: Suffixes for files still being written by the producer; skipped.
 _SKIP_SUFFIXES = (".part", ".tmp")
 _MAX_ERROR_BODY = 65536
+#: Seconds a POST may wait on the connect or on any one socket read.
+REQUEST_TIMEOUT_S = 10.0
 
 
 @dataclass
@@ -47,7 +49,6 @@ class AgentConfig:
     server_url: str
     poll_interval_ms: int = 500
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    request_timeout_s: float = 10.0
     drain: bool = False
 
 
@@ -62,7 +63,7 @@ class _Outcome:
     RETRYABLE = "retryable"
 
 
-def _post_once(endpoint: str, body: bytes, timeout: float) -> tuple[str, dict]:
+def _post_once(endpoint: str, body: bytes) -> tuple[str, dict]:
     """One POST attempt; returns (outcome, response payload)."""
     request = urllib.request.Request(
         endpoint,
@@ -71,7 +72,7 @@ def _post_once(endpoint: str, body: bytes, timeout: float) -> tuple[str, dict]:
         method="POST",
     )
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
+        with urllib.request.urlopen(request, timeout=REQUEST_TIMEOUT_S) as response:
             payload = json.loads(response.read(_MAX_ERROR_BODY))
             if not isinstance(payload, dict):
                 raise ValueError("response is not a JSON object")
@@ -148,7 +149,7 @@ class Agent:
 
         retry = self.config.retry
         for attempt in range(1, retry.max_attempts + 1):
-            outcome, payload = _post_once(self.endpoint, body, self.config.request_timeout_s)
+            outcome, payload = _post_once(self.endpoint, body)
             if outcome == _Outcome.OK:
                 self._record(name, payload)
                 self._move(name, self.processed_dir)
@@ -186,12 +187,8 @@ def run_agent(config: AgentConfig) -> None:
         agent.stop()
 
     previous = {}
-    try:
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            previous[sig] = signal.signal(sig, _handle)
-    except ValueError:
-        # not the main thread (tests); run without signal hooks
-        previous = {}
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        previous[sig] = signal.signal(sig, _handle)
     try:
         agent.run()
     finally:

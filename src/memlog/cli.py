@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import traceback
+import urllib.parse
 
 from . import __version__
 from .config import parse_config
@@ -28,6 +29,7 @@ from .errors import (
     EmptyCorpus,
     EmptyDocument,
     InsufficientClassCount,
+    InvalidSpec,
     MemlogError,
     ModelLoadFailure,
     NotJson,
@@ -38,6 +40,7 @@ from .errors import (
 )
 
 _EXIT_CODES = (
+    (InvalidSpec, 2),
     (SingleClassInput, 3),
     (ModelLoadFailure, 4),
     ((NotJson, OversizeLog, EmptyDocument), 5),
@@ -96,6 +99,20 @@ def _bind_address(text: str) -> tuple[str, int]:
     if not host or not port.isdigit() or int(port) > 65535:
         raise argparse.ArgumentTypeError(f"expected host:port, port 0-65535, got {text!r}")
     return host, int(port)
+
+
+def _is_server_url(text: str) -> bool:
+    """True for ``http(s)://host[:port]``, with or without a trailing slash."""
+    try:
+        parts = urllib.parse.urlsplit(text)
+        parts.port  # raises ValueError for a port outside 0-65535
+    except ValueError:
+        return False
+    return (
+        parts.scheme in ("http", "https") and parts.hostname is not None
+        and "@" not in parts.netloc and parts.path in ("", "/")
+        and not parts.query and not parts.fragment
+    )
 
 
 def _read_config(parser: argparse.ArgumentParser, path: str) -> dict[str, str]:
@@ -234,10 +251,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         X, y = X[test_idx], y[test_idx]
     scores = predict(detector.model, X)
     if args.roc_csv is not None:
-        with open(args.roc_csv, "w", encoding="utf-8") as fh:
-            fh.write("fpr,tpr,threshold\n")
-            for fpr, tpr, thr in roc_points(y, scores):
-                fh.write(f"{fpr!r},{tpr!r},{thr!r}\n")
+        try:
+            points = roc_points(y, scores)
+        except SingleClassInput:
+            print(f"note: ROC undefined, evaluation labels are single-class; "
+                  f"{args.roc_csv} not written", file=sys.stderr)
+        else:
+            with open(args.roc_csv, "w", encoding="utf-8") as fh:
+                fh.write("fpr,tpr,threshold\n")
+                for fpr, tpr, thr in points:
+                    fh.write(f"{fpr!r},{tpr!r},{thr!r}\n")
     _emit(_validation_report(y, scores, args.threshold))
     return 0
 
@@ -280,6 +303,8 @@ def cmd_agent(args: argparse.Namespace) -> int:
     server_url = resolve_server(args.server_url or "")
     if not server_url:
         raise BindFailure("agent requires --server, config key server_url, or MEMLOG_SERVER")
+    if not _is_server_url(server_url):
+        raise BindFailure(f"agent server must be http(s)://host[:port], got {server_url!r}")
     run_agent(
         AgentConfig(
             watch_dir=args.watch_dir,

@@ -141,15 +141,15 @@ class SplitSpec:
     set with the requested malicious fraction comes from the remainder."""
 
     train_malicious_fraction: float = 0.70
-    test_size: Optional[int] = None
     shuffle_seed: int = 1
 
 
 def holdout_split(labels: Sequence[int], spec: SplitSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint (train_indices, test_indices) into the label pool.
 
-    The test set is balanced 1:1.  The training set has a malicious
-    fraction within one instance of ``spec.train_malicious_fraction``.
+    The test set is balanced 1:1 and takes a quarter of the pool, rounded
+    down to an even count.  The training set has a malicious fraction
+    within one instance of ``spec.train_malicious_fraction``.
     """
     spec = spec or SplitSpec()
     if not 0.0 < spec.train_malicious_fraction < 1.0:
@@ -162,12 +162,9 @@ def holdout_split(labels: Sequence[int], spec: SplitSpec | None = None) -> tuple
     malicious = perm[y[perm] == MALICIOUS]
     benign = perm[y[perm] == BENIGN]
 
-    test_size = spec.test_size if spec.test_size is not None else (n // 4) & ~1
-    if spec.test_size is None and test_size < 2:
-        raise InsufficientClassCount(f"pool has {n} examples, the default test set needs at least 8")
-    if test_size < 2 or test_size % 2 != 0:
-        raise ValueError(f"test size must be an even count >= 2, got {test_size}")
-    half = test_size // 2
+    half = n // 8
+    if half < 1:
+        raise InsufficientClassCount(f"pool has {n} examples, the test set needs at least 8")
     if len(malicious) <= half or len(benign) <= half:
         raise InsufficientClassCount(
             f"pool has {len(malicious)} malicious / {len(benign)} benign, "

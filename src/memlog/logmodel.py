@@ -509,16 +509,15 @@ def _loads(text: str):
         raise NotJson(f"unreadable number: {exc}") from None
 
 
-def parse_log(raw: bytes | str, max_bytes: int = DEFAULT_MAX_BYTES) -> tuple[CanonicalLog, CleaningReport]:
+def parse_log(raw: bytes) -> tuple[CanonicalLog, CleaningReport]:
     """Parse raw log bytes into a canonical log plus a cleaning report.
 
-    Raises :class:`OversizeLog`, :class:`EmptyDocument` or :class:`NotJson`;
-    every other input, however messy, yields a value.
+    Raises :class:`OversizeLog` above ``DEFAULT_MAX_BYTES``,
+    :class:`EmptyDocument` or :class:`NotJson`; every other input, however
+    messy, yields a value.
     """
-    if isinstance(raw, str):
-        raw = raw.encode("utf-8")
-    if len(raw) > max_bytes:
-        raise OversizeLog(f"log is {len(raw)} bytes, cap is {max_bytes}")
+    if len(raw) > DEFAULT_MAX_BYTES:
+        raise OversizeLog(f"log is {len(raw)} bytes, cap is {DEFAULT_MAX_BYTES}")
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

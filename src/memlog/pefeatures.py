@@ -161,9 +161,7 @@ def _read_directory(image: bytes, opt_offset: int, opt_size: int, magic: int, in
     return rva, size
 
 
-def _walk_imports(
-    image: bytes, sections: list[_Section], rva: int, magic: int, name_cap: int
-) -> tuple[int, list[str]]:
+def _walk_imports(image: bytes, sections: list[_Section], rva: int, magic: int) -> tuple[int, list[str]]:
     ordinal_flag = ORDINAL_FLAG_PE32 if magic == PE32_MAGIC else ORDINAL_FLAG_PE32PLUS
     thunk_size = 4 if magic == PE32_MAGIC else 8
     read_thunk = _u32 if magic == PE32_MAGIC else _u64
@@ -190,18 +188,16 @@ def _walk_imports(
                 if not entry & ordinal_flag:
                     # Hint/name table entry: 2-byte hint then the name.
                     name_offset = _rva_to_offset(sections, entry + 2, len(image))
-                    if len(names) < name_cap:
+                    if len(names) < DEFAULT_NAME_CAP:
                         names.append(_cstring(image, name_offset))
                 thunk_offset += thunk_size
-                if count > name_cap * 4:
+                if count > DEFAULT_NAME_CAP * 4:
                     raise BadDataDirectory("import thunk chain does not terminate")
         desc_offset += IMPORT_DESCRIPTOR_SIZE
     return count, names
 
 
-def _walk_exports(
-    image: bytes, sections: list[_Section], rva: int, name_cap: int
-) -> tuple[int, list[str], str]:
+def _walk_exports(image: bytes, sections: list[_Section], rva: int) -> tuple[int, list[str], str]:
     offset = _rva_to_offset(sections, rva, len(image))
     name_rva = _u32(image, offset + 12, BadDataDirectory)
     function_count = _u32(image, offset + 20, BadDataDirectory)
@@ -214,7 +210,7 @@ def _walk_exports(
     names: list[str] = []
     if name_count:
         table_offset = _rva_to_offset(sections, names_rva, len(image))
-        for i in range(min(name_count, name_cap)):
+        for i in range(min(name_count, DEFAULT_NAME_CAP)):
             entry_rva = _u32(image, table_offset + i * 4, BadDataDirectory)
             names.append(_cstring(image, _rva_to_offset(sections, entry_rva, len(image))))
     return function_count, names, module_name
@@ -235,7 +231,7 @@ def _find_pdb_path(image: bytes, sections: list[_Section], rva: int, size: int) 
     return ""
 
 
-def parse_pe(image: bytes, name_cap: int = DEFAULT_NAME_CAP) -> PeBlock:
+def parse_pe(image: bytes) -> PeBlock:
     """Parse a PE image into header-level features.
 
     Raises :class:`BadDosMagic`, :class:`BadPeSignature`,
@@ -300,7 +296,7 @@ def parse_pe(image: bytes, name_cap: int = DEFAULT_NAME_CAP) -> PeBlock:
     import_count, import_names = 0, []
     if import_rva:
         try:
-            import_count, import_names = _walk_imports(image, sections, import_rva, magic, name_cap)
+            import_count, import_names = _walk_imports(image, sections, import_rva, magic)
         except BadDataDirectory as exc:
             logger.warning("import directory unreadable, degrading to empty: %s", exc)
             import_count, import_names = 0, []
@@ -308,7 +304,7 @@ def parse_pe(image: bytes, name_cap: int = DEFAULT_NAME_CAP) -> PeBlock:
     export_count, export_names, export_module_name = 0, [], ""
     if export_rva:
         try:
-            export_count, export_names, export_module_name = _walk_exports(image, sections, export_rva, name_cap)
+            export_count, export_names, export_module_name = _walk_exports(image, sections, export_rva)
         except BadDataDirectory as exc:
             logger.warning("export directory unreadable, degrading to empty: %s", exc)
             export_count, export_names, export_module_name = 0, [], ""

@@ -66,8 +66,8 @@ class DetectorService:
 
     def __init__(
         self,
-        embeddings: Optional[EmbeddingModel] = None,
-        model: Optional[GbdtModel] = None,
+        embeddings: EmbeddingModel,
+        model: GbdtModel,
         threshold: float = DEFAULT_THRESHOLD,
         audit_path: Optional[str] = None,
     ):
@@ -80,12 +80,8 @@ class DetectorService:
         self._audit_lock = threading.Lock()
 
     @property
-    def ready(self) -> bool:
-        return self.embeddings is not None and self.model is not None
-
-    @property
     def model_version(self) -> str:
-        return self.model.version if self.model is not None else ""
+        return self.model.version
 
     def detect(self, raw_log: bytes, request_id: str = "") -> DetectionResult:
         """Parse, vectorize, and score one log.  Parse errors propagate."""
@@ -182,9 +178,7 @@ class _Handler(BaseHTTPRequestHandler):
             if self.path != "/v1/health":
                 self._reply(404, {"error": "NOT_FOUND"})
                 return
-            service = self.server.service
-            status = "ready" if service.ready else "not_ready"
-            self._reply(200, {"status": status, "model_version": service.model_version})
+            self._reply(200, {"status": "ready", "model_version": self.server.service.model_version})
         except Exception:
             logger.exception("health check failed")
             self._safe_500()
@@ -193,10 +187,6 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if self.path != "/v1/detect":
                 self._reply(404, {"error": "NOT_FOUND"})
-                return
-            service = self.server.service
-            if not service.ready:
-                self._reply(503, {"error": "NOT_READY"})
                 return
             try:
                 length = int(self.headers.get("Content-Length", "0"))
@@ -208,7 +198,7 @@ class _Handler(BaseHTTPRequestHandler):
             body = self.rfile.read(length)
             request_id = self.headers.get("X-Request-Id", "")
             try:
-                result = service.detect(body, request_id)
+                result = self.server.service.detect(body, request_id)
             except _PARSE_ERRORS as exc:
                 self._reply(400, {"error": "LOG_PARSE", "detail": str(exc)})
                 return

@@ -74,7 +74,6 @@ def make_agent(watch_dir, url, script_stub=None, max_attempts=3, drain=True):
             server_url=url,
             poll_interval_ms=10,
             retry=RetryPolicy(max_attempts=max_attempts, backoff_base_ms=1),
-            request_timeout_s=5.0,
             drain=drain,
         )
     )

@@ -222,6 +222,11 @@ class TestGen:
         assert len(manifest) == 201
         assert sum(line.endswith(",malicious") for line in manifest[1:]) == 100
 
+    def test_zero_logs_is_usage_error(self, tmp_path):
+        result = run_cli("gen", "--out", tmp_path / "c", "--malicious", "0", "--benign", "0")
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestTrain:
     def test_report_shape(self, workspace):
@@ -377,6 +382,21 @@ class TestEvaluate:
         assert len(lines) >= 3
         first = lines[1].split(",")
         assert float(first[0]) == 0.0 and float(first[1]) == 0.0
+
+    def test_roc_csv_of_a_single_class_corpus_is_not_written(self, workspace, tmp_path):
+        corpus = tmp_path / "benign"
+        assert run_cli("gen", "--out", corpus, "--malicious", "0", "--benign", "10",
+                       "--seed", "2").returncode == 0
+        roc = tmp_path / "roc.csv"
+        result = run_cli("evaluate", "--corpus", corpus,
+                         "--embeddings", workspace["embeddings"],
+                         "--model", workspace["model"], "--roc-csv", roc)
+        assert result.returncode == 0, result.stderr
+        assert not roc.exists()
+        assert "ROC undefined" in result.stderr
+        report = json.loads(result.stdout)
+        assert report["auc"] is None
+        assert report["confusion"]["fp"] + report["confusion"]["tn"] == 10
 
     def test_missing_model_fails(self, workspace, tmp_path):
         result = run_cli("evaluate", "--corpus", workspace["corpus"],
@@ -584,7 +604,6 @@ class TestConfigFile:
             "server_url": "http://127.0.0.1:9",
             "poll_interval_ms": 25,
             "retry": {"max_attempts": 7, "backoff_base_ms": 0},
-            "request_timeout_s": 10.0,
             "drain": False,
         }
         flagged = agent_config("--server", "http://127.0.0.1:10", "--max-attempts", "2")
@@ -608,6 +627,32 @@ class TestAgentCommand:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert result.returncode == 7
+
+    @pytest.mark.parametrize("source, url", [
+        ("flag", "notaurl"),
+        ("flag", "ftp://127.0.0.1:1"),
+        ("flag", "http://127.0.0.1:1/v1"),
+        ("config", "127.0.0.1:1"),
+        ("env", "http://127.0.0.1:99999"),
+    ])
+    def test_bad_server_url_fails_before_touching_the_watch_dir(self, tmp_path, source, url):
+        watch = tmp_path / "watch"
+        watch.mkdir()
+        (watch / "x.json").write_text(json.dumps({"metadata": {"exe_name": "x.exe"}}))
+        config = tmp_path / "agent.conf"
+        config.write_text(f"server_url = {url}\n")
+        env = {k: v for k, v in os.environ.items() if k != "MEMLOG_SERVER"}
+        where = {"flag": ["--server", url], "config": ["--config", str(config)], "env": []}
+        if source == "env":
+            env["MEMLOG_SERVER"] = url
+        result = subprocess.run(
+            [*CLI, "agent", "--watch", str(watch), *where[source], "--drain",
+             "--max-attempts", "1", "--backoff-ms", "0"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 7, result.stderr
+        assert "http(s)://host[:port]" in result.stderr and "Traceback" not in result.stderr
+        assert sorted(p.name for p in watch.iterdir()) == ["x.json"]
 
     def test_drains_against_live_server(self, workspace, tmp_path):
         watch = tmp_path / "watch"

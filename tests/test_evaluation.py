@@ -201,8 +201,8 @@ class TestHoldoutSplit:
         return np.array([1] * malicious + [0] * benign, dtype=np.int64)
 
     def test_documented_counts(self):
-        labels = self.pool(100, 100)
-        train_idx, test_idx = holdout_split(labels, SplitSpec(test_size=40))
+        labels = self.pool(100, 60)
+        train_idx, test_idx = holdout_split(labels)
         test_labels = labels[test_idx]
         assert len(test_idx) == 40
         assert (test_labels == 1).sum() == 20
@@ -214,8 +214,8 @@ class TestHoldoutSplit:
         assert abs(fraction - 0.70) <= 1.0 / len(train_labels)
 
     def test_disjoint_and_valid(self):
-        labels = self.pool(100, 100)
-        train_idx, test_idx = holdout_split(labels, SplitSpec(test_size=40))
+        labels = self.pool(100, 60)
+        train_idx, test_idx = holdout_split(labels)
         assert set(train_idx.tolist()).isdisjoint(test_idx.tolist())
         combined = np.concatenate([train_idx, test_idx])
         assert len(set(combined.tolist())) == len(combined)
@@ -229,20 +229,18 @@ class TestHoldoutSplit:
 
     def test_balanced_fraction(self):
         labels = self.pool(100, 100)
-        train_idx, _ = holdout_split(
-            labels, SplitSpec(train_malicious_fraction=0.5, test_size=40)
-        )
+        train_idx, _ = holdout_split(labels, SplitSpec(train_malicious_fraction=0.5))
         train_labels = labels[train_idx]
-        assert (train_labels == 1).sum() == 80
-        assert (train_labels == 0).sum() == 80
+        assert (train_labels == 1).sum() == 75
+        assert (train_labels == 0).sum() == 75
 
     def test_benign_shortage_clamps_and_rebalances(self):
         # 90 malicious / 30 benign remain after the test draw; 0.7 needs
         # more benign than exist, so both sides shrink to hit the fraction.
-        labels = self.pool(100, 40)
-        train_idx, test_idx = holdout_split(labels, SplitSpec(test_size=20))
+        labels = self.pool(110, 50)
+        train_idx, test_idx = holdout_split(labels)
         train_labels = labels[train_idx]
-        assert (labels[test_idx] == 1).sum() == 10
+        assert (labels[test_idx] == 1).sum() == 20
         assert (train_labels == 1).sum() == 70
         assert (train_labels == 0).sum() == 30
 
@@ -255,21 +253,18 @@ class TestHoldoutSplit:
         assert not (np.array_equal(a[0], c[0]) and np.array_equal(a[1], c[1]))
 
     def test_insufficient_pool(self):
+        # the test set takes n // 8 of each class and must leave some of each
         with pytest.raises(InsufficientClassCount):
-            holdout_split(self.pool(10, 10), SplitSpec(test_size=20))
+            holdout_split(self.pool(2, 20))
         with pytest.raises(InsufficientClassCount):
-            holdout_split(self.pool(3, 100), SplitSpec(test_size=6))
-        # below 8 logs the default test size, a quarter of the pool rounded to even, is 0
+            holdout_split(self.pool(3, 100))
+        # below 8 logs the test size, a quarter of the pool rounded to even, is 0
         for malicious, benign in ((3, 3), (4, 3), (0, 0)):
             with pytest.raises(InsufficientClassCount):
                 holdout_split(self.pool(malicious, benign))
 
     def test_bad_parameters(self):
         labels = self.pool(50, 50)
-        with pytest.raises(ValueError):
-            holdout_split(labels, SplitSpec(test_size=7))  # odd
-        with pytest.raises(ValueError):
-            holdout_split(labels, SplitSpec(test_size=0))
         with pytest.raises(ValueError):
             holdout_split(labels, SplitSpec(train_malicious_fraction=1.0))
         with pytest.raises(ValueError):
@@ -281,10 +276,9 @@ class TestHoldoutSplit:
             n_mal = int(rng.integers(12, 80))
             n_ben = int(rng.integers(12, 80))
             labels = rng.permutation(self.pool(n_mal, n_ben))
-            test_size = 2 * int(rng.integers(1, min(n_mal, n_ben) // 2))
+            test_size = (len(labels) // 4) & ~1
             spec = SplitSpec(
                 train_malicious_fraction=float(rng.uniform(0.3, 0.8)),
-                test_size=test_size,
                 shuffle_seed=int(rng.integers(0, 1000)),
             )
             try:

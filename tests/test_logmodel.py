@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from memlog.errors import EmptyDocument, NotJson, OversizeLog
 from memlog.logmodel import (
+    DEFAULT_MAX_BYTES,
     Anonymized,
     Arch,
     CanonicalLog,
@@ -91,12 +92,14 @@ class TestParseBasics:
         with pytest.raises(OversizeLog):
             parse_log(big)
 
-    def test_size_cap_configurable(self):
-        raw = b'{"metadata":{"exe_name":"calc.exe"}}'
+    def test_size_cap_boundary(self):
+        head, tail = b'{"metadata":{"exe_name":"', b'"}}'
+        raw = head + b"a" * (DEFAULT_MAX_BYTES - len(head) - len(tail)) + tail
+        assert len(raw) == DEFAULT_MAX_BYTES
+        log, _ = parse_log(raw)
+        assert len(log.metadata.exe_name) == DEFAULT_MAX_BYTES - len(head) - len(tail)
         with pytest.raises(OversizeLog):
-            parse_log(raw, max_bytes=8)
-        log, _ = parse_log(raw, max_bytes=len(raw))
-        assert log.metadata.exe_name == "calc.exe"
+            parse_log(raw + b" ")
 
 
 class TestCleaningRules:

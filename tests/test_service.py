@@ -108,16 +108,11 @@ class TestDetect:
         assert data["verdict"] in ("malicious", "benign")
         assert isinstance(data["score"], float)
 
-    def test_threshold_domain(self):
+    def test_threshold_domain(self, detector):
         with pytest.raises(ValueError):
-            DetectorService(threshold=0.0)
+            DetectorService(detector.embeddings, detector.model, threshold=0.0)
         with pytest.raises(ValueError):
-            DetectorService(threshold=1.0)
-
-    def test_not_ready_until_loaded(self):
-        empty = DetectorService()
-        assert not empty.ready
-        assert empty.model_version == ""
+            DetectorService(detector.embeddings, detector.model, threshold=1.0)
 
 
 class TestAudit:
@@ -175,7 +170,6 @@ class TestLoadDetector:
             load_detector(model_dir["embeddings"], str(path))
 
     def test_ready_after_load(self, detector):
-        assert detector.ready
         assert detector.model_version
 
 
@@ -184,22 +178,6 @@ class TestHttp:
         status, _, payload = http("GET", url_of(server, "/v1/health"))
         assert status == 200
         assert payload == {"status": "ready", "model_version": detector.model_version}
-
-    def test_health_not_ready_and_detect_503(self):
-        srv = make_server(DetectorService(), "127.0.0.1", 0)
-        thread = threading.Thread(target=srv.serve_forever)
-        thread.start()
-        try:
-            status, _, payload = http("GET", url_of(srv, "/v1/health"))
-            assert status == 200
-            assert payload == {"status": "not_ready", "model_version": ""}
-            status, _, payload = http("POST", url_of(srv, "/v1/detect"), body=b"{}")
-            assert status == 503
-            assert payload == {"error": "NOT_READY"}
-        finally:
-            srv.shutdown()
-            srv.server_close()
-            thread.join(timeout=10)
 
     def test_detect_round_trip(self, server, detector, sample_logs):
         for raw in sample_logs[:4]:
@@ -304,10 +282,10 @@ class TestHttp:
 
 
 class TestServerLifecycle:
-    def test_bind_failure(self, server):
+    def test_bind_failure(self, server, detector):
         host, port = server.server_address[:2]
         with pytest.raises(BindFailure):
-            make_server(DetectorService(), host, port)
+            make_server(detector, host, port)
 
     def test_shutdown_from_another_thread(self, detector):
         srv = make_server(detector, "127.0.0.1", 0)

@@ -1,5 +1,5 @@
 """The public surface: every public function, class, method or property has
-a caller outside the tests.
+a caller outside the tests, and every setting is passed by one.
 
 A public name is a top-level ``def`` or ``class`` in ``src/memlog``, or a
 ``def`` in the body of such a class, whose name does not start with an
@@ -8,10 +8,18 @@ underscore.  It has a caller when code in ``src/memlog``, ``perfbench`` or
 outside the body of a definition of that name.  Docstrings and comments do
 not count.  A name the tests alone use is dead code, unless it is listed
 below with a reason.
+
+A setting is a defaulted parameter of a public function or method (a class's
+``__init__`` counts as the class) or a defaulted field of a public dataclass.
+It is passed when a call to that name in the same directories gives it, by
+keyword, by position or through ``*``/``**``.  A setting only the tests pass
+should be a constant.
 """
 import ast
 from collections import Counter
 from pathlib import Path
+
+from memlog.logmodel import _SCHEMA
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "memlog"
@@ -23,6 +31,10 @@ ALLOWED = {
     "sgns_pair_loss": "reference oracle: criterion 03 and the epoch's pair-objective test use it",
     "parse_pe": "required by acceptance criterion 10 (PE header features)",
 }
+
+#: Dataclasses whose fields are a record's contents, not settings: the code
+#: that reads or builds a record fills them one by one.
+RECORD_TYPES = {cls.__name__ for cls in _SCHEMA} | {"CleaningReport", "GroupedTokens"}
 
 
 def public_definitions(body):
@@ -71,3 +83,92 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     counts = reference_counts()
     uncalled = sorted(name for name in names if not counts[name])
     assert uncalled == sorted(ALLOWED)
+
+
+def defaulted_parameters(function: ast.FunctionDef, skip_self: bool):
+    """(name, position) per defaulted parameter; a keyword-only one has no position."""
+    args = function.args
+    positional = (args.posonlyargs + args.args)[1 if skip_self else 0:]
+    first_default = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional):
+        if index >= first_default:
+            yield arg.arg, index
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        ast.unparse(decorator).partition("(")[0] == "dataclass"
+        for decorator in node.decorator_list
+    )
+
+
+def defaulted_fields(node: ast.ClassDef):
+    """(name, position) per defaulted field that the dataclass's ``__init__`` takes."""
+    init_fields = [
+        stmt for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and "init=False" not in ast.unparse(stmt)
+    ]
+    for index, stmt in enumerate(init_fields):
+        if stmt.value is not None:
+            yield stmt.target.id, index
+
+
+def settings():
+    """(label, callee, parameter, position) per setting; a call names ``callee``."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                for name, position in defaulted_parameters(node, skip_self=False):
+                    yield f"{node.name}.{name}", node.name, name, position
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                if is_dataclass(node) and node.name not in RECORD_TYPES:
+                    for name, position in defaulted_fields(node):
+                        yield f"{node.name}.{name}", node.name, name, position
+                for method in node.body:
+                    if not isinstance(method, ast.FunctionDef):
+                        continue
+                    if method.name == "__init__":
+                        label, callee = node.name, node.name
+                    elif not method.name.startswith("_"):
+                        label, callee = f"{node.name}.{method.name}", method.name
+                    else:
+                        continue
+                    for name, position in defaulted_parameters(method, skip_self=True):
+                        yield f"{label}.{name}", callee, name, position
+
+
+def passes(call: ast.Call, name: str, position) -> bool:
+    """Whether ``call`` gives the parameter by keyword, by position or through ``*``/``**``."""
+    if any(keyword.arg in (None, name) for keyword in call.keywords):
+        return True
+    return position is not None and any(
+        index == position or isinstance(arg, ast.Starred) for index, arg in enumerate(call.args)
+    )
+
+
+def calls_by_callee() -> dict[str, list[ast.Call]]:
+    calls: dict[str, list[ast.Call]] = {}
+    for directory in CALLER_DIRS:
+        for path in directory.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    calls.setdefault(callee, []).append(node)
+    return calls
+
+
+def test_every_setting_is_passed_outside_the_tests():
+    found = list(settings())
+    labels = {label for label, *_ in found}
+    assert {"GbdtParams.trees", "load_detector.audit_path", "build_vocab.min_count"} <= labels
+    calls = calls_by_callee()
+    unpassed = sorted(
+        label
+        for label, callee, name, position in found
+        if not any(passes(call, name, position) for call in calls.get(callee, ()))
+    )
+    assert not unpassed, f"settings that only the tests pass: {unpassed}"
