@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import traceback
 import urllib.parse
@@ -27,13 +28,12 @@ from .config import parse_config
 from .errors import (
     BindFailure,
     EmptyCorpus,
-    EmptyDocument,
     InsufficientClassCount,
     InvalidSpec,
+    LogParseError,
     MemlogError,
     ModelLoadFailure,
     NotJson,
-    OversizeLog,
     SingleClassInput,
     UnlabeledLog,
     WatchDirMissing,
@@ -43,7 +43,7 @@ _EXIT_CODES = (
     (InvalidSpec, 2),
     (SingleClassInput, 3),
     (ModelLoadFailure, 4),
-    ((NotJson, OversizeLog, EmptyDocument), 5),
+    (LogParseError, 5),
     (InsufficientClassCount, 6),
     (BindFailure, 7),
     (WatchDirMissing, 8),
@@ -92,6 +92,13 @@ def _non_negative_float(text: str) -> float:
     if not (value >= 0.0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
+
+
+def _output_path(text: str) -> str:
+    """A file the command writes; it is checked before any work starts."""
+    if not text or os.path.isdir(text) or not os.path.isdir(os.path.dirname(text) or "."):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a file path in an existing directory")
+    return text
 
 
 def _bind_address(text: str) -> tuple[str, int]:
@@ -357,8 +364,8 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
 
     train = sub.add_parser("train", parents=[common], help="train embeddings and classifier")
     train.add_argument("--corpus", required=True, help="directory of log JSON files")
-    train.add_argument("--embeddings-out", default="embeddings.mleb")
-    train.add_argument("--model-out", default="model.mlgb")
+    train.add_argument("--embeddings-out", type=_output_path, default="embeddings.mleb")
+    train.add_argument("--model-out", type=_output_path, default="model.mlgb")
     train.add_argument("--window", type=_positive_int, default=5)
     train.add_argument("--negatives", type=_positive_int, default=5)
     train.add_argument("--epochs", type=_positive_int, default=5)
@@ -379,30 +386,30 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     evaluate.add_argument("--embeddings", required=True)
     evaluate.add_argument("--model", required=True)
     evaluate.add_argument("--threshold", type=_open_unit_interval, default=0.75)
-    evaluate.add_argument("--roc-csv", help="write ROC sweep points to this CSV")
+    evaluate.add_argument("--roc-csv", type=_output_path, help="write ROC sweep points to this CSV")
     evaluate.add_argument("--replay-split", action="store_true",
                           help="evaluate only the validation part of the training holdout")
     evaluate.add_argument("--train-fraction", type=_open_unit_interval, default=0.70)
     evaluate.set_defaults(func=cmd_evaluate)
 
-    predict = sub.add_parser("predict", parents=[common], help="score one log file")
+    predict = sub.add_parser("predict", help="score one log file")
     predict.add_argument("--log", required=True)
     predict.add_argument("--embeddings", required=True)
     predict.add_argument("--model", required=True)
     predict.add_argument("--threshold", type=_open_unit_interval, default=0.75)
     predict.set_defaults(func=cmd_predict)
 
-    serve = sub.add_parser("serve", parents=[common], help="run the detection service")
+    serve = sub.add_parser("serve", help="run the detection service")
     serve.add_argument("--bind", type=_bind_address, default="127.0.0.1:8787",
                        help="host:port (default %(default)s)")
     serve.add_argument("--embeddings")
     serve.add_argument("--model")
     serve.add_argument("--threshold", type=_open_unit_interval, default=0.75)
-    serve.add_argument("--audit", help="audit JSON-lines path")
+    serve.add_argument("--audit", type=_output_path, help="audit JSON-lines path")
     takes_config(serve, ("bind", "embeddings", "model", "threshold", "audit"))
     serve.set_defaults(func=cmd_serve)
 
-    agent = sub.add_parser("agent", parents=[common], help="watch a directory and ship logs")
+    agent = sub.add_parser("agent", help="watch a directory and ship logs")
     agent.add_argument("--watch", dest="watch_dir", help="directory to watch")
     agent.add_argument("--server", dest="server_url",
                        help="detector base URL (MEMLOG_SERVER overrides)")

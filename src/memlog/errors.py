@@ -12,15 +12,19 @@ class MemlogError(Exception):
 
 # --- log parsing -----------------------------------------------------------
 
-class NotJson(MemlogError):
+class LogParseError(MemlogError):
+    """Base class for the three ways a log can fail to parse."""
+
+
+class NotJson(LogParseError):
     """Input is not a parseable JSON object."""
 
 
-class OversizeLog(MemlogError):
+class OversizeLog(LogParseError):
     """Input exceeds the configured size cap."""
 
 
-class EmptyDocument(MemlogError):
+class EmptyDocument(LogParseError):
     """Input is empty or whitespace-only."""
 
 
@@ -66,15 +70,19 @@ class VocabMismatch(MemlogError):
 
 # --- binary model files ----------------------------------------------------
 
-class BadMagic(MemlogError):
+class ModelFileError(MemlogError):
+    """Base class for an embeddings or model file whose contents are invalid."""
+
+
+class BadMagic(ModelFileError):
     """File does not start with the expected magic bytes."""
 
 
-class VersionMismatch(MemlogError):
+class VersionMismatch(ModelFileError):
     """File format version is not supported."""
 
 
-class CorruptPayload(MemlogError):
+class CorruptPayload(ModelFileError):
     """File payload is truncated or structurally invalid."""
 
 

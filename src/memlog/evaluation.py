@@ -17,10 +17,10 @@ from .vectorizer import BENIGN, MALICIOUS
 
 @dataclass
 class ConfusionMatrix:
-    tp: int = 0
-    fn: int = 0
-    fp: int = 0
-    tn: int = 0
+    tp: int
+    fn: int
+    fp: int
+    tn: int
 
     @property
     def total(self) -> int:
@@ -31,20 +31,17 @@ class ConfusionMatrix:
 class MetricsReport:
     """Detection quality summary; None marks an undefined metric."""
 
-    acc: Optional[float] = None
-    ppv: Optional[float] = None
-    tpr: Optional[float] = None
-    fpr: Optional[float] = None
-    fnr: Optional[float] = None
-    f1: Optional[float] = None
-    auc: Optional[float] = None
-    confusion: Optional[ConfusionMatrix] = None
+    acc: Optional[float]
+    ppv: Optional[float]
+    tpr: Optional[float]
+    fpr: Optional[float]
+    fnr: Optional[float]
+    f1: Optional[float]
+    auc: Optional[float]
+    confusion: ConfusionMatrix
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        if self.confusion is None:
-            del out["confusion"]
-        return out
+        return asdict(self)
 
 
 def confusion(y_true: Sequence[int], y_pred: Sequence[int]) -> ConfusionMatrix:
@@ -78,61 +75,45 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
     )
 
 
-def _midranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+def _roc_steps(y_true: Sequence[int], scores: Sequence[float], what: str):
+    """``(tp, fp, thresholds, p, n)``: the ROC sweep over descending scores.
 
-
-def roc_auc(y_true: Sequence[int], scores: Sequence[float]) -> float:
-    """Mann-Whitney AUC with midranks for ties.
-
-    AUC = (sum of positive ranks - P(P+1)/2) / (P * N).
+    ``tp``/``fp`` are int64 counts of the positives/negatives scored at or
+    above each distinct score, read at the last row of its run after a
+    stable sort; ``p``/``n`` are the class totals.  Labels outside {0, 1}
+    and NaN scores raise ``ValueError``: neither has a place in the order.
     """
     yt = np.asarray(y_true, dtype=np.int64)
     sc = np.asarray(scores, dtype=np.float64)
     if yt.shape[0] != sc.shape[0]:
         raise LengthMismatch(f"{yt.shape[0]} labels vs {sc.shape[0]} scores")
-    p = int((yt == 1).sum())
-    n = int((yt == 0).sum())
+    if ((yt != 0) & (yt != 1)).any() or np.isnan(sc).any():
+        raise ValueError(f"{what} needs labels in {{0, 1}} and no NaN score")
+    p, n = int((yt == 1).sum()), int((yt == 0).sum())
     if p == 0 or n == 0:
-        raise SingleClassInput("AUC requires both classes")
-    ranks = _midranks(sc)
-    rank_sum = float(ranks[yt == 1].sum())
-    return (rank_sum - p * (p + 1) / 2.0) / (p * n)
+        raise SingleClassInput(f"{what} requires both classes")
+    order = np.argsort(-sc, kind="mergesort")
+    sc, tp = sc[order], np.cumsum(yt[order])
+    last = np.append(sc[1:] != sc[:-1], True)
+    return tp[last], (np.arange(1, len(sc) + 1) - tp)[last], sc[last], p, n
+
+
+def roc_auc(y_true: Sequence[int], scores: Sequence[float]) -> float:
+    """Mann-Whitney AUC, ties counting one half.
+
+    Twice U is the integer sum of ``new_fp * (2 * tp - new_tp)`` over the
+    sweep, so ``2U / 2 / (P * N)`` rounds once, like the midrank formula.
+    """
+    tp, fp, _, p, n = _roc_steps(y_true, scores, "AUC")
+    new_tp, new_fp = np.diff(tp, prepend=0), np.diff(fp, prepend=0)
+    return int((new_fp * (2 * tp - new_tp)).sum()) / 2 / (p * n)
 
 
 def roc_points(y_true: Sequence[int], scores: Sequence[float]) -> list[tuple[float, float, float]]:
-    """(fpr, tpr, threshold) triples swept over descending unique scores,
-    for plotting; starts at (0, 0) and ends at (1, 1)."""
-    yt = np.asarray(y_true, dtype=np.int64)
-    sc = np.asarray(scores, dtype=np.float64)
-    if yt.shape[0] != sc.shape[0]:
-        raise LengthMismatch(f"{yt.shape[0]} labels vs {sc.shape[0]} scores")
-    p = int((yt == 1).sum())
-    n = int((yt == 0).sum())
-    if p == 0 or n == 0:
-        raise SingleClassInput("ROC requires both classes")
-    order = np.argsort(-sc, kind="mergesort")
-    points = [(0.0, 0.0, float("inf"))]
-    tp = fp = 0
-    for i, idx in enumerate(order):
-        if yt[idx] == 1:
-            tp += 1
-        else:
-            fp += 1
-        is_last = i + 1 == len(order)
-        if is_last or sc[order[i + 1]] != sc[idx]:
-            points.append((fp / n, tp / p, float(sc[idx])))
-    return points
+    """(fpr, tpr, threshold) per distinct score, descending, after (0, 0, inf)."""
+    tp, fp, thresholds, p, n = _roc_steps(y_true, scores, "ROC")
+    steps = zip((fp / n).tolist(), (tp / p).tolist(), thresholds.tolist())
+    return [(0.0, 0.0, float("inf")), *steps]
 
 
 @dataclass

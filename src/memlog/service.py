@@ -27,16 +27,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 from .embedding import EMBEDDING_DIM, EmbeddingModel, load_embeddings
-from .errors import (
-    BindFailure,
-    CorruptPayload,
-    EmptyDocument,
-    ModelLoadFailure,
-    NotJson,
-    OversizeLog,
-    VersionMismatch,
-    BadMagic,
-)
+from .errors import BindFailure, LogParseError, ModelFileError, ModelLoadFailure
 from .gbdt import DEFAULT_THRESHOLD, GbdtModel, classify, load_model, predict_one
 from .logmodel import DEFAULT_MAX_BYTES, Label, parse_log
 from .tokenizer import tokenize
@@ -44,7 +35,6 @@ from .vectorizer import LOG_VECTOR_DIM, vectorize_log
 
 logger = logging.getLogger(__name__)
 
-_PARSE_ERRORS = (NotJson, OversizeLog, EmptyDocument)
 #: Requests larger than this are rejected without reading the body.
 _MAX_REQUEST_BYTES = DEFAULT_MAX_BYTES + 4096
 
@@ -134,7 +124,7 @@ def load_detector(
     try:
         embeddings = load_embeddings(embeddings_path)
         model = load_model(model_path)
-    except (OSError, BadMagic, VersionMismatch, CorruptPayload) as exc:
+    except (OSError, ModelFileError) as exc:
         raise ModelLoadFailure(str(exc)) from exc
     if embeddings.dim != EMBEDDING_DIM:
         raise ModelLoadFailure(
@@ -199,7 +189,7 @@ class _Handler(BaseHTTPRequestHandler):
             request_id = self.headers.get("X-Request-Id", "")
             try:
                 result = self.server.service.detect(body, request_id)
-            except _PARSE_ERRORS as exc:
+            except LogParseError as exc:
                 self._reply(400, {"error": "LOG_PARSE", "detail": str(exc)})
                 return
             self._reply(200, result.to_dict())

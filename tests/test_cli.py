@@ -328,6 +328,22 @@ class TestTrain:
         assert "log 3 has no label" in result.stderr
         assert not any(path.exists() for path in outputs)
 
+    @pytest.mark.parametrize("flag", ["--embeddings-out", "--model-out"])
+    def test_output_in_a_missing_directory_is_refused_before_training(
+        self, workspace, tmp_path, flag
+    ):
+        outputs = {"--embeddings-out": tmp_path / "e.mleb", "--model-out": tmp_path / "m.mlgb"}
+        outputs[flag] = tmp_path / "missing" / outputs[flag].name
+        result = subprocess.run(
+            [sys.executable, "-c", NO_EMBEDDING_CODE, "train", "--corpus",
+             str(workspace["corpus"]), *(str(x) for pair in outputs.items() for x in pair),
+             *TINY_TRAIN],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 2, result.stderr
+        assert flag in result.stderr and "Traceback" not in result.stderr
+        assert not any(path.exists() for path in outputs.values())
+
     def test_separable_thousand_log_corpus_reaches_auc_one(self, tmp_path):
         corpus = tmp_path / "large"
         gen = run_cli("gen", "--out", corpus, "--malicious", "500",
@@ -397,6 +413,15 @@ class TestEvaluate:
         report = json.loads(result.stdout)
         assert report["auc"] is None
         assert report["confusion"]["fp"] + report["confusion"]["tn"] == 10
+
+    @pytest.mark.parametrize("where", ["missing/roc.csv", "", "."])
+    def test_roc_csv_that_cannot_be_a_file_is_usage_error(self, workspace, tmp_path, where):
+        result = run_cli("evaluate", "--corpus", workspace["corpus"],
+                         "--embeddings", workspace["embeddings"],
+                         "--model", workspace["model"], "--roc-csv", where and tmp_path / where)
+        assert result.returncode == 2, result.stderr
+        assert "--roc-csv" in result.stderr and "Traceback" not in result.stderr
+        assert result.stdout == "" and list(tmp_path.iterdir()) == []
 
     def test_missing_model_fails(self, workspace, tmp_path):
         result = run_cli("evaluate", "--corpus", workspace["corpus"],
@@ -521,6 +546,21 @@ class TestServe:
                          "--model", workspace["model"])
         assert result.returncode == 2, result.stderr
         assert "0-65535" in result.stderr and "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_audit_in_a_missing_directory_is_refused_before_binding(
+        self, workspace, tmp_path, source
+    ):
+        audit = tmp_path / "missing" / "audit.jsonl"
+        config = tmp_path / "serve.conf"
+        config.write_text(f"audit = {audit}\n")
+        where = ("--audit", audit) if source == "flag" else ("--config", config)
+        result = run_cli("serve", "--bind", "127.0.0.1:0", *where,
+                         "--embeddings", workspace["embeddings"],
+                         "--model", workspace["model"], timeout=60)
+        assert result.returncode == 2, result.stderr
+        assert "listening on" not in result.stderr and "Traceback" not in result.stderr
+        assert not audit.parent.exists()
 
     def test_config_file_supplies_paths(self, workspace, tmp_path):
         config = tmp_path / "serve.conf"

@@ -1,10 +1,14 @@
 """Metrics, ROC/AUC, and holdout-split behaviour.
 
 AUC is checked against a quadratic pair-counting oracle (ties count one
-half), and the holdout split against direct counting of the documented
-policy: balanced test set first, then a train set whose malicious
-fraction is within one instance of the request.
+half), exactly: it is the exact pair fraction rounded once, and each ROC
+point is its exact rates rounded once.  The holdout split is checked
+against direct counting of the documented policy: balanced test set
+first, then a train set whose malicious fraction is within one instance
+of the request.
 """
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -29,6 +33,21 @@ def auc_oracle(y_true, scores):
         for b in neg:
             total += 1.0 if a > b else (0.5 if a == b else 0.0)
     return total / (len(pos) * len(neg))
+
+
+def random_pools(seed, count=200):
+    """(labels, scores) with both classes; every other pool has many ties."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = int(rng.integers(2, 80))
+        y = rng.integers(0, 2, size=n)
+        y[0], y[-1] = 1, 0
+        scores = rng.uniform(size=n)
+        yield y, np.round(scores, 1) if case % 2 else scores
+
+
+NOT_SWEPT = [([1, 2, 0], [0.9, 0.8, 0.1]), ([1, -1, 0], [0.9, 0.8, 0.1]),
+             ([1, 0], [float("nan"), 0.5])]
 
 
 class TestConfusion:
@@ -84,7 +103,7 @@ class TestMetrics:
         assert report.f1 == 1.0
 
     def test_empty_matrix_is_all_undefined(self):
-        report = compute_metrics(ConfusionMatrix())
+        report = compute_metrics(ConfusionMatrix(0, 0, 0, 0))
         assert report.acc is None
         assert report.ppv is None
         assert report.tpr is None
@@ -136,6 +155,19 @@ class TestRocAuc:
             # Quantized scores force plenty of ties.
             scores = np.round(rng.uniform(size=n), 1)
             assert roc_auc(y, scores) == pytest.approx(auc_oracle(y, scores), abs=1e-12)
+
+    def test_is_the_exact_pair_fraction_rounded_once(self):
+        for y, scores in random_pools(96):
+            pos, neg = scores[y == 1], scores[y == 0]
+            wins = int((pos[:, None] > neg[None, :]).sum())
+            ties = int((pos[:, None] == neg[None, :]).sum())
+            exact = Fraction(2 * wins + ties, 2 * len(pos) * len(neg))
+            assert roc_auc(y, scores) == float(exact)
+
+    @pytest.mark.parametrize("labels, scores", NOT_SWEPT)
+    def test_label_outside_zero_one_or_nan_score_rejected(self, labels, scores):
+        with pytest.raises(ValueError):
+            roc_auc(labels, scores)
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(92)
@@ -191,9 +223,22 @@ class TestRocPoints:
             assert tpr == pytest.approx(cm.tp / (cm.tp + cm.fn), abs=1e-12)
             assert fpr == pytest.approx(cm.fp / (cm.fp + cm.tn), abs=1e-12)
 
+    def test_rates_are_exact_fractions_rounded_once(self):
+        for y, scores in random_pools(97):
+            p, n = int((y == 1).sum()), int((y == 0).sum())
+            for fpr, tpr, threshold in roc_points(y, scores)[1:]:
+                above = scores >= threshold
+                assert fpr == float(Fraction(int((above & (y == 0)).sum()), n))
+                assert tpr == float(Fraction(int((above & (y == 1)).sum()), p))
+
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassInput):
             roc_points([1, 1], [0.5, 0.6])
+
+    @pytest.mark.parametrize("labels, scores", NOT_SWEPT)
+    def test_label_outside_zero_one_or_nan_score_rejected(self, labels, scores):
+        with pytest.raises(ValueError):
+            roc_points(labels, scores)
 
 
 class TestHoldoutSplit:

@@ -14,11 +14,18 @@ A setting is a defaulted parameter of a public function or method (a class's
 It is passed when a call to that name in the same directories gives it, by
 keyword, by position or through ``*``/``**``.  A setting only the tests pass
 should be a constant.
+
+A flag is a settable value too: every destination of a subcommand's
+arguments is read by that subcommand's function.
 """
+import argparse
 import ast
+import inspect
+import textwrap
 from collections import Counter
 from pathlib import Path
 
+from memlog.cli import build_parser
 from memlog.logmodel import _SCHEMA
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -172,3 +179,31 @@ def test_every_setting_is_passed_outside_the_tests():
         if not any(passes(call, name, position) for call in calls.get(callee, ()))
     )
     assert not unpassed, f"settings that only the tests pass: {unpassed}"
+
+
+def reads_of_args(function) -> set[str]:
+    """Names ``function`` reads off ``args``: ``args.X`` or ``getattr(args, "X")``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and getattr(node.args[0], "id", None) == "args"
+              and isinstance(node.args[1], ast.Constant)):
+            reads.add(node.args[1].value)
+    return reads
+
+
+def test_every_flag_is_read_by_its_command():
+    parser = build_parser()
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == {"gen", "train", "evaluate", "predict", "serve", "agent"}
+    unread = sorted(
+        f"{command} --{action.dest}"
+        for command, subparser in subparsers.choices.items()
+        for action in subparser._actions
+        if action.dest not in ("help", "config", "func")
+        and action.dest not in reads_of_args(subparser.get_default("func"))
+    )
+    assert not unread, f"settable values their command ignores: {unread}"
