@@ -101,6 +101,20 @@ def _output_path(text: str) -> str:
     return text
 
 
+def _corpus_dir(text: str) -> str:
+    """A directory the command reads; it is checked before any work starts."""
+    if not os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an existing directory")
+    return text
+
+
+def _output_dir(text: str) -> str:
+    """A directory the command creates or fills; it is checked before any work starts."""
+    if not text or (os.path.exists(text) and not os.path.isdir(text)):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a directory path")
+    return text
+
+
 def _bind_address(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     if not host or not port.isdigit() or int(port) > 65535:
@@ -351,7 +365,7 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     common.add_argument("--seed", type=_non_negative_int, default=1, help="global random seed")
 
     gen = sub.add_parser("gen", parents=[common], help="write a synthetic labeled corpus")
-    gen.add_argument("--out", required=True, help="output directory")
+    gen.add_argument("--out", type=_output_dir, required=True, help="output directory")
     gen.add_argument("--malicious", type=_non_negative_int, default=100)
     gen.add_argument("--benign", type=_non_negative_int, default=100)
     gen.add_argument("--overlap", type=_unit_interval, default=0.0,
@@ -363,7 +377,8 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     gen.set_defaults(func=cmd_gen)
 
     train = sub.add_parser("train", parents=[common], help="train embeddings and classifier")
-    train.add_argument("--corpus", required=True, help="directory of log JSON files")
+    train.add_argument("--corpus", type=_corpus_dir, required=True,
+                       help="directory of log JSON files")
     train.add_argument("--embeddings-out", type=_output_path, default="embeddings.mleb")
     train.add_argument("--model-out", type=_output_path, default="model.mlgb")
     train.add_argument("--window", type=_positive_int, default=5)
@@ -382,7 +397,7 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     train.set_defaults(func=cmd_train)
 
     evaluate = sub.add_parser("evaluate", parents=[common], help="score a corpus with saved models")
-    evaluate.add_argument("--corpus", required=True)
+    evaluate.add_argument("--corpus", type=_corpus_dir, required=True)
     evaluate.add_argument("--embeddings", required=True)
     evaluate.add_argument("--model", required=True)
     evaluate.add_argument("--threshold", type=_open_unit_interval, default=0.75)

@@ -44,9 +44,18 @@ class MetricsReport:
         return asdict(self)
 
 
+def _binary(values: Sequence[int], what: str) -> np.ndarray:
+    """``values`` as int64; anything outside {0, 1} raises ``ValueError``."""
+    arr = np.asarray(values, dtype=np.int64)
+    if ((arr != 0) & (arr != 1)).any():
+        raise ValueError(f"{what} needs labels in {{0, 1}}")
+    return arr
+
+
 def confusion(y_true: Sequence[int], y_pred: Sequence[int]) -> ConfusionMatrix:
-    yt = np.asarray(y_true, dtype=np.int64)
-    yp = np.asarray(y_pred, dtype=np.int64)
+    """Counts of each (label, prediction) pair; both must be in {0, 1}."""
+    yt = _binary(y_true, "confusion")
+    yp = _binary(y_pred, "confusion")
     if yt.shape[0] != yp.shape[0]:
         raise LengthMismatch(f"{yt.shape[0]} labels vs {yp.shape[0]} predictions")
     return ConfusionMatrix(
@@ -83,12 +92,12 @@ def _roc_steps(y_true: Sequence[int], scores: Sequence[float], what: str):
     stable sort; ``p``/``n`` are the class totals.  Labels outside {0, 1}
     and NaN scores raise ``ValueError``: neither has a place in the order.
     """
-    yt = np.asarray(y_true, dtype=np.int64)
+    yt = _binary(y_true, what)
     sc = np.asarray(scores, dtype=np.float64)
     if yt.shape[0] != sc.shape[0]:
         raise LengthMismatch(f"{yt.shape[0]} labels vs {sc.shape[0]} scores")
-    if ((yt != 0) & (yt != 1)).any() or np.isnan(sc).any():
-        raise ValueError(f"{what} needs labels in {{0, 1}} and no NaN score")
+    if np.isnan(sc).any():
+        raise ValueError(f"{what} needs no NaN score")
     p, n = int((yt == 1).sum()), int((yt == 0).sum())
     if p == 0 or n == 0:
         raise SingleClassInput(f"{what} requires both classes")
@@ -135,7 +144,7 @@ def holdout_split(labels: Sequence[int], spec: SplitSpec | None = None) -> tuple
     spec = spec or SplitSpec()
     if not 0.0 < spec.train_malicious_fraction < 1.0:
         raise ValueError(f"train fraction must be in (0, 1), got {spec.train_malicious_fraction}")
-    y = np.asarray(labels, dtype=np.int64)
+    y = _binary(labels, "holdout split")
     n = y.shape[0]
     rng = np.random.default_rng(spec.shuffle_seed)
     perm = rng.permutation(n)

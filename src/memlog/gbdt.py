@@ -32,6 +32,7 @@ read-only: a model never changes after it is built or loaded.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -196,9 +197,12 @@ def predict_one(model: GbdtModel, x: np.ndarray) -> float:
 
 
 def classify(score: float, threshold: float = DEFAULT_THRESHOLD) -> Label:
-    """Malicious iff score >= threshold; the boundary is inclusive."""
+    """Malicious iff score >= threshold; the boundary is inclusive.  A NaN
+    score has no side of the threshold and raises ``ValueError``."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    if math.isnan(score):
+        raise ValueError("cannot classify a NaN score")
     return Label.MALICIOUS if score >= threshold else Label.BENIGN
 
 

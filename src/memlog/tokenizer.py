@@ -1,27 +1,28 @@
-"""Tokenization of canonical logs into six feature groups.
+"""Tokenization of parsed logs into six feature groups.
 
-Each log field feeds exactly one group, so the groups partition the
-token stream.  Scalar values become single tokens; the two exceptions
-are byte strings, which split into 4-byte hex words, and command lines,
-which split on whitespace.  Canonicalization keeps the vocabulary dense:
-everything is lowercased, addresses are bucketed to their 4 KiB page,
-filesystem paths are reduced to their basename, and whitespace inside a
-preserved value becomes ``_``.
+``tokenize`` reads a log as ``parse_log`` returns it, so every hex scalar
+is already ``0x``-lowercase or empty.  Each log field feeds exactly one
+group, so the groups partition the token stream.  Scalar values become
+single tokens; the two exceptions are byte strings, which split into
+4-byte hex words, and command lines, which split on whitespace.  Three
+value rules keep the vocabulary dense:
+
+- text: lowercased, with each run of whitespace inside it turned into
+  ``_`` and none at either end;
+- basename: a filesystem path keeps only its last ``\\``/``/``
+  component, then follows the text rule;
+- page: an address is bucketed to its 4 KiB page.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+from enum import IntEnum
 from typing import Iterator, Optional
 
 from .logmodel import CanonicalLog, PeBlock
 
-_WHITESPACE_RE = re.compile(r"\s+")
-_HEX_VALUE_RE = re.compile(r"^(0[xX])?[0-9a-fA-F]+$")
-
-#: Low bits zeroed when bucketing an address to its page.
-PAGE_MASK = ~0xFFF
+#: A 64-bit address with the low 12 bits zeroed: its 4 KiB page.
+_PAGE_MASK = 0xFFFF_FFFF_FFFF_F000
 
 
 class GroupId(IntEnum):
@@ -34,12 +35,6 @@ class GroupId(IntEnum):
 
 
 GROUP_COUNT = len(GroupId)
-
-
-class ValueKind(Enum):
-    TEXT = "text"
-    ADDRESS = "address"
-    PATH = "path"
 
 
 @dataclass
@@ -71,17 +66,16 @@ class GroupedTokens:
         return sum(len(g) for g in self)
 
 
-def canonicalize_value(raw: str, kind: ValueKind = ValueKind.TEXT) -> str:
-    """Canonical token form of a scalar value; empty string when nothing survives.
+def _text(raw: str) -> str:
+    return "_".join(raw.lower().split())
 
-    Addresses fall back to text rules when they do not parse as hex.
-    """
-    if kind is ValueKind.ADDRESS and _HEX_VALUE_RE.match(raw):
-        return "0x%x" % (int(raw, 16) & PAGE_MASK & 0xFFFFFFFFFFFFFFFF)
-    if kind is ValueKind.PATH:
-        parts = [p for p in re.split(r"[\\/]+", raw) if p]
-        raw = parts[-1] if parts else ""
-    return _WHITESPACE_RE.sub("_", raw.strip().lower())
+
+def _basename(path: str) -> str:
+    return _text(path.replace("\\", "/").rstrip("/").rpartition("/")[2])
+
+
+def _page(address: str) -> str:
+    return "0x%x" % (int(address, 16) & _PAGE_MASK) if address else ""
 
 
 def hex_words(data: bytes) -> list[str]:
@@ -113,70 +107,61 @@ def _pe_field_tokens(pe: PeBlock) -> list[str]:
         f"pe_signed={str(pe.signed).lower()}",
         f"pe_created={pe.created}",
         f"pe_modified={pe.modified}",
-        _pair("pe_entry", canonicalize_value(hex(pe.entry_point_rva), ValueKind.ADDRESS)),
+        _pair("pe_entry", _page(hex(pe.entry_point_rva))),
         f"pe_size={pe.file_size}",
         f"pe_entropy={pe.entropy_bits:.2f}",
-        _pair("pe_pdb", canonicalize_value(pe.pdb_path, ValueKind.PATH)),
-        _pair("pe_module", canonicalize_value(pe.export_module_name, ValueKind.TEXT)),
+        _pair("pe_pdb", _basename(pe.pdb_path)),
+        _pair("pe_module", _text(pe.export_module_name)),
     )
     return tokens
 
 
 def tokenize(log: CanonicalLog) -> GroupedTokens:
-    """Tokenize one canonical log; every token is non-empty, lowercase
+    """Tokenize one parsed log; every token is non-empty, lowercase
     and whitespace-free."""
     out = GroupedTokens()
     md = log.metadata
     rt = log.runtime
 
-    for frame in rt.stack_trace:
-        _extend(out.stack, canonicalize_value(frame, ValueKind.TEXT))
+    _extend(out.stack, *map(_text, rt.stack_trace))
     out.stack.extend(hex_words(rt.stack_snapshot))
 
-    for name, value in sorted(rt.registers.items()):
-        _extend(out.registers, _pair(name, canonicalize_value(value, ValueKind.ADDRESS)))
-    _extend(out.registers, _pair("eflags", canonicalize_value(rt.eflags, ValueKind.TEXT)))
+    _extend(
+        out.registers,
+        *(_pair(name, _page(value)) for name, value in sorted(rt.registers.items())),
+        _pair("eflags", rt.eflags),
+    )
 
     for _, snippet in sorted(rt.register_snippets.items()):
         out.opcodes.extend(hex_words(snippet))
     for access in rt.illegal_accesses:
         out.opcodes.extend(hex_words(access.data))
 
-    for module in rt.loaded_modules:
-        _extend(out.modules, canonicalize_value(module.path, ValueKind.PATH))
+    _extend(out.modules, *(_basename(module.path) for module in rt.loaded_modules))
 
-    for resource in rt.loaded_resources:
-        _extend(out.resources, canonicalize_value(resource.path, ValueKind.PATH))
-    for resource in rt.opened_resources:
-        _extend(out.resources, canonicalize_value(resource.path, ValueKind.PATH))
-    for embedded in rt.embedded_files:
-        _extend(out.resources, canonicalize_value(embedded.magic_type, ValueKind.TEXT))
-    for url in rt.found_urls:
-        _extend(out.resources, canonicalize_value(url, ValueKind.TEXT))
-    for ip in rt.found_ips:
-        _extend(out.resources, canonicalize_value(ip, ValueKind.TEXT))
-    for task in rt.scheduled_tasks:
-        _extend(out.resources, canonicalize_value(task, ValueKind.TEXT))
-    for entry in rt.hklm_run_entries:
-        _extend(out.resources, canonicalize_value(entry, ValueKind.TEXT))
+    _extend(
+        out.resources,
+        *(_basename(resource.path) for resource in rt.loaded_resources + rt.opened_resources),
+        *(_text(embedded.magic_type) for embedded in rt.embedded_files),
+        *map(_text, rt.found_urls + rt.found_ips + rt.scheduled_tasks + rt.hklm_run_entries),
+    )
 
     _extend(
         out.process_meta,
-        canonicalize_value(md.exe_name, ValueKind.PATH),
-        canonicalize_value(md.exe_hash, ValueKind.TEXT),
+        _basename(md.exe_name),
+        _text(md.exe_hash),
         _pair("integrity", md.integrity_level.value if md.integrity_level else ""),
         _pair("privilege", md.privilege_level.value if md.privilege_level else ""),
         _pair("arch", md.exe_arch.value if md.exe_arch else ""),
-        canonicalize_value(md.os_name, ValueKind.TEXT),
+        _text(md.os_name),
+        *map(_text, rt.command_line.split()),
     )
-    for piece in rt.command_line.split():
-        _extend(out.process_meta, canonicalize_value(piece, ValueKind.TEXT))
     if rt.parent_process is not None:
         parent = rt.parent_process
         _extend(
             out.process_meta,
-            _pair("parent", canonicalize_value(parent.path, ValueKind.PATH)),
-            _pair("parent_hash", canonicalize_value(parent.hash, ValueKind.TEXT)),
+            _pair("parent", _basename(parent.path)),
+            _pair("parent_hash", _text(parent.hash)),
             _pair(
                 "parent_integrity",
                 parent.integrity_level.value if parent.integrity_level else "",

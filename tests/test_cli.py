@@ -190,6 +190,30 @@ class TestParsing:
         assert "--seed" in result.stderr and "Traceback" not in result.stderr
 
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("corpus", ["missing", "a file"])
+    def test_corpus_that_is_no_directory_is_usage_error(self, workspace, tmp_path, command, corpus):
+        path = tmp_path / "missing" if corpus == "missing" else workspace["corpus"] / "labels.csv"
+        outputs = {
+            "train": ("--embeddings-out", tmp_path / "e.mleb", "--model-out", tmp_path / "m.mlgb"),
+            "evaluate": ("--embeddings", workspace["embeddings"], "--model", workspace["model"],
+                         "--roc-csv", tmp_path / "roc.csv"),
+        }[command]
+        result = run_cli(command, "--corpus", path, *outputs)
+        assert result.returncode == 2, result.stderr
+        assert "--corpus" in result.stderr and "Traceback" not in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["a file", ""])
+    def test_gen_out_that_is_no_directory_path_is_usage_error(self, tmp_path, out):
+        target = tmp_path / "taken"
+        target.write_text("kept")
+        result = run_cli("gen", "--out", target if out else "", "--malicious", "2",
+                         "--benign", "2")
+        assert result.returncode == 2, result.stderr
+        assert "--out" in result.stderr and "Traceback" not in result.stderr
+        assert target.read_text() == "kept" and list(tmp_path.iterdir()) == [target]
+
 class TestGen:
     def test_deterministic_output(self, tmp_path):
         for sub in ("a", "b"):

@@ -70,6 +70,12 @@ class TestConfusion:
         with pytest.raises(LengthMismatch):
             confusion([1, 0], [1])
 
+    @pytest.mark.parametrize("y_true, y_pred", [([1, 2, 0], [1, 1, 0]), ([1, -1, 0], [1, 0, 0]),
+                                                ([1, 0, 0], [1, 2, 0])])
+    def test_label_outside_zero_one_rejected(self, y_true, y_pred):
+        with pytest.raises(ValueError, match=r"labels in \{0, 1\}"):
+            compute_metrics(confusion(y_true, y_pred))
+
 
 class TestMetrics:
     def test_headline_matrix(self):
@@ -166,7 +172,7 @@ class TestRocAuc:
 
     @pytest.mark.parametrize("labels, scores", NOT_SWEPT)
     def test_label_outside_zero_one_or_nan_score_rejected(self, labels, scores):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"labels in \{0, 1\}|NaN score"):
             roc_auc(labels, scores)
 
     def test_invariant_under_monotone_transform(self):
@@ -237,7 +243,7 @@ class TestRocPoints:
 
     @pytest.mark.parametrize("labels, scores", NOT_SWEPT)
     def test_label_outside_zero_one_or_nan_score_rejected(self, labels, scores):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"labels in \{0, 1\}|NaN score"):
             roc_points(labels, scores)
 
 
@@ -307,6 +313,11 @@ class TestHoldoutSplit:
         for malicious, benign in ((3, 3), (4, 3), (0, 0)):
             with pytest.raises(InsufficientClassCount):
                 holdout_split(self.pool(malicious, benign))
+
+    @pytest.mark.parametrize("labels", [[2] * 20 + [0] * 20, [1] * 20 + [0] * 19 + [-1]])
+    def test_label_outside_zero_one_rejected(self, labels):
+        with pytest.raises(ValueError, match=r"labels in \{0, 1\}"):
+            holdout_split(labels)
 
     def test_bad_parameters(self):
         labels = self.pool(50, 50)

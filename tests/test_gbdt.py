@@ -425,6 +425,11 @@ class TestClassify:
         flags = [int(classify(s, 0.33) is Label.MALICIOUS) for s in scores]
         assert flags == sorted(flags)
 
+    @pytest.mark.parametrize("threshold", [0.75, 0.33])
+    def test_nan_score_rejected(self, threshold):
+        with pytest.raises(ValueError, match="NaN"):
+            classify(float("nan"), threshold)
+
     @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.1, 1.5])
     def test_threshold_domain(self, threshold):
         with pytest.raises(ValueError):

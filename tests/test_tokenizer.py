@@ -1,42 +1,141 @@
-"""Grouped tokenization: canonical forms, group routing, stability."""
+"""Grouped tokenization: value rules, group routing, stability."""
 from __future__ import annotations
+
+import json
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memlog.logmodel import parse_log, serialize_log
 from memlog.synthgen import GenSpec, generate_corpus
-from memlog.tokenizer import (
-    GROUP_COUNT,
-    GroupId,
-    ValueKind,
-    canonicalize_value,
-    hex_words,
-    tokenize,
-)
+from memlog.tokenizer import GROUP_COUNT, GroupId, hex_words, tokenize
+
+
+def tokens_of(doc: dict):
+    log, _ = parse_log(json.dumps(doc).encode())
+    return tokenize(log)
+
+
+# The value rules as the regexes they were once written with: the oracle.
+def text_rule(s):
+    return re.sub(r"\s+", "_", s.strip().lower())
+
+
+def basename_rule(s):
+    return text_rule(([p for p in re.split(r"[\\/]+", s) if p] or [""])[-1])
+
+
+def page_rule(s):
+    if re.match(r"^(0[xX])?[0-9a-fA-F]+$", s):
+        return "0x%x" % (int(s, 16) & ~0xFFF & 0xFFFFFFFFFFFFFFFF)
+    return text_rule(s)
 
 
 class TestCanonicalize:
     def test_lowercasing(self):
-        assert canonicalize_value("KERNEL32.DLL") == "kernel32.dll"
+        assert tokens_of({"runtime": {"stack_trace": ["KERNEL32.DLL"]}}).stack == ["kernel32.dll"]
 
     def test_address_page_bucketing(self):
-        assert canonicalize_value("0x7FFE1234", ValueKind.ADDRESS) == "0x7ffe1000"
+        regs = tokens_of({"runtime": {"registers": {"eax": "0x7FFE1234"}}}).registers
+        assert regs == ["eax=0x7ffe1000"]
 
     def test_address_already_aligned(self):
-        assert canonicalize_value("0x7ffe1000", ValueKind.ADDRESS) == "0x7ffe1000"
+        regs = tokens_of({"runtime": {"registers": {"eax": "0x7ffe1000"}}}).registers
+        assert regs == ["eax=0x7ffe1000"]
+
+    def test_address_wider_than_64_bits_keeps_its_low_64(self):
+        regs = tokens_of({"runtime": {"registers": {"eax": "0x1FFFFFFFFFFFFFFFF"}}}).registers
+        assert regs == ["eax=0xfffffffffffff000"]
 
     def test_path_basename(self):
-        assert canonicalize_value("C:\\Users\\x\\doc.pdf", ValueKind.PATH) == "doc.pdf"
+        doc = {"runtime": {"loaded_modules": [{"path": "C:\\Users\\x\\doc.pdf"}]}}
+        assert tokens_of(doc).modules == ["doc.pdf"]
 
     def test_path_forward_slashes(self):
-        assert canonicalize_value("/usr/lib/libssl.so", ValueKind.PATH) == "libssl.so"
+        doc = {"runtime": {"loaded_modules": [{"path": "/usr/lib/libssl.so"}]}}
+        assert tokens_of(doc).modules == ["libssl.so"]
+
+    def test_path_of_separators_only_is_dropped(self):
+        doc = {"runtime": {"loaded_modules": [{"path": "\\/ /"}, {"path": "a\\b/"}]}}
+        assert tokens_of(doc).modules == ["b"]
 
     def test_whitespace_to_underscore(self):
-        assert canonicalize_value("Program Files Entry") == "program_files_entry"
+        doc = {"runtime": {"hklm_run_entries": ["Program Files Entry"]}}
+        assert tokens_of(doc).resources == ["program_files_entry"]
 
-    def test_non_hex_address_falls_back_to_text(self):
-        assert canonicalize_value("Not An Address", ValueKind.ADDRESS) == "not_an_address"
+
+_SPECIAL = st.sampled_from(["\\", "/", " ", "\t", "\n", "\x1c", "\x85", "\u3000", "\u2028", "A", "\u0130"])
+_TEXT = st.text(st.one_of(_SPECIAL, st.characters()), max_size=12)
+_HEX = st.builds(
+    lambda n, prefix, upper: (prefix + "%x" % n).upper() if upper else prefix + "%x" % n,
+    st.integers(0, 1 << 80), st.sampled_from(["", "0x", "0X"]), st.booleans(),
+)
+
+
+@st.composite
+def tokenized_strings(draw):
+    """A log document whose every tokenized string field is drawn."""
+    texts = st.lists(_TEXT, max_size=3)
+    return {
+        "metadata": {"exe_name": draw(_TEXT), "exe_hash": draw(_TEXT), "os_name": draw(_TEXT)},
+        "runtime": {
+            "stack_trace": draw(texts),
+            "registers": draw(st.dictionaries(st.sampled_from(["eax", "EBX", "esp"]),
+                                              st.one_of(_HEX, _TEXT), max_size=3)),
+            "eflags": draw(st.one_of(_HEX, _TEXT)),
+            "loaded_modules": [{"path": p} for p in draw(texts)],
+            "loaded_resources": [{"path": p} for p in draw(texts)],
+            "opened_resources": [{"path": p} for p in draw(texts)],
+            "embedded_files": [{"magic_type": m} for m in draw(texts)],
+            "found_urls": draw(texts),
+            "found_ips": draw(texts),
+            "scheduled_tasks": draw(texts),
+            "hklm_run_entries": draw(texts),
+            "command_line": draw(_TEXT),
+            "parent_process": {"path": draw(_TEXT), "hash": draw(_TEXT)},
+        },
+        "pe": {"pdb_path": draw(_TEXT), "export_module_name": draw(_TEXT),
+               "entry_point_rva": draw(st.integers(0, (1 << 64) - 1))},
+    }
+
+
+class TestValueRulesProperty:
+    @given(tokenized_strings())
+    @settings(max_examples=300, deadline=None)
+    def test_every_token_equals_the_regex_rule(self, doc):
+        log, _ = parse_log(json.dumps(doc).encode())
+        tokens = tokenize(log)
+        md, rt, pe = log.metadata, log.runtime, log.pe
+
+        def kept(*values):
+            return [v for v in values if v]
+
+        def paired(prefix, value):
+            return kept(value and f"{prefix}={value}")
+
+        assert tokens.stack == kept(*map(text_rule, rt.stack_trace))
+        assert tokens.registers == [
+            *(token for name, value in sorted(rt.registers.items())
+              for token in paired(name, page_rule(value))),
+            *paired("eflags", text_rule(rt.eflags)),
+        ]
+        assert tokens.modules == kept(*(basename_rule(m.path) for m in rt.loaded_modules))
+        assert tokens.resources == kept(
+            *(basename_rule(r.path) for r in rt.loaded_resources + rt.opened_resources),
+            *(text_rule(e.magic_type) for e in rt.embedded_files),
+            *map(text_rule, rt.found_urls + rt.found_ips + rt.scheduled_tasks
+                 + rt.hklm_run_entries),
+        )
+        meta = kept(basename_rule(md.exe_name), text_rule(md.exe_hash), text_rule(md.os_name),
+                    *map(text_rule, rt.command_line.split()),
+                    *paired("parent", basename_rule(rt.parent_process.path)),
+                    *paired("parent_hash", text_rule(rt.parent_process.hash)))
+        assert tokens.process_meta[:len(meta)] == meta
+        pe_tokens = dict(t.split("=", 1) for t in tokens.process_meta[len(meta):])
+        assert pe_tokens["pe_entry"] == page_rule(hex(pe.entry_point_rva))
+        assert pe_tokens.get("pe_pdb", "") == basename_rule(pe.pdb_path)
+        assert pe_tokens.get("pe_module", "") == text_rule(pe.export_module_name)
 
 
 class TestHexWords:
