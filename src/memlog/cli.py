@@ -109,8 +109,14 @@ def _corpus_dir(text: str) -> str:
 
 
 def _output_dir(text: str) -> str:
-    """A directory the command creates or fills; it is checked before any work starts."""
-    if not text or (os.path.exists(text) and not os.path.isdir(text)):
+    """A directory the command creates or fills; it is checked before any work starts.
+
+    The path, or else its nearest existing ancestor, must be a directory.
+    """
+    existing = text
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not text or not os.path.isdir(existing or "."):
         raise argparse.ArgumentTypeError(f"{text!r} is not a directory path")
     return text
 

@@ -14,7 +14,8 @@ UTF-8).  Parsing canonical output is always clean, so
 The dataclasses below are the schema: a field is named only there, and its
 type decides how it is read.  At import, ``_SCHEMA`` turns them into one
 table per block class, (attribute, JSON key, reader, reader argument) per
-field, that drives parsing and cleaning.  Writing needs no second table:
+field, and each table into one generated block reader that does the
+parsing and cleaning.  Writing needs no second table:
 ``serialize_log`` is ``json.dumps`` of the log itself, whose hook writes a
 block as its JSON keys from ``_SCHEMA``, an Enum as its value and bytes as
 hex.
@@ -32,8 +33,8 @@ from .errors import EmptyDocument, NotJson, OversizeLog
 
 DEFAULT_MAX_BYTES = 500 * 1024
 
-_HEX_RE = re.compile(r"^(0[xX])?[0-9a-fA-F]+$")
-_BYTES_RE = re.compile(r"^(?:[0-9a-fA-F]{2})*$")
+#: A hex scalar, matched against the whole value (``fullmatch``).
+_HEX_RE = re.compile(r"(0[xX])?[0-9a-fA-F]+")
 _TRAILING_COMMA_RE = re.compile(r",(\s*[}\]])")
 
 #: Sentinel produced for NaN/Infinity literals; dropped as a wrong type.
@@ -334,18 +335,33 @@ def _read_hex(value, prefix: str, key: str, report: CleaningReport, _arg) -> str
     if isinstance(value, str):
         if value == "":
             return ""
-        if _HEX_RE.match(value):
+        if _HEX_RE.fullmatch(value):
             return "0x%x" % int(value, 16)
     report.dropped_fields.append(prefix + key)
     return ""
+
+
+def _hex_bytes(value) -> Optional[bytes]:
+    """The bytes of plain hex ``value`` (no 0x prefix, even digit count), else None.
+
+    ``bytes.fromhex`` skips whitespace; the length check refuses it.
+    """
+    if not isinstance(value, str):
+        return None
+    try:
+        out = bytes.fromhex(value)
+    except ValueError:
+        return None
+    return out if 2 * len(out) == len(value) else None
 
 
 def _read_bytes(value, prefix: str, key: str, report: CleaningReport, _arg) -> bytes:
     """Byte string carried as plain hex (no 0x prefix, even digit count)."""
     if value is None:
         return b""
-    if isinstance(value, str) and _BYTES_RE.match(value):
-        return bytes.fromhex(value)
+    out = _hex_bytes(value)
+    if out is not None:
+        return out
     report.dropped_fields.append(prefix + key)
     return b""
 
@@ -371,10 +387,11 @@ def _read_object_list(value, prefix: str, key: str, report: CleaningReport, cls:
     if not isinstance(value, list):
         report.dropped_fields.append(prefix + key)
         return []
+    read = _READERS[cls]
     out = []
     for i, item in enumerate(value):
         if isinstance(item, dict):
-            out.append(_read_block(cls, item, f"{prefix}{key}[{i}].", report))
+            out.append(read(item, f"{prefix}{key}[{i}].", report))
         else:
             report.dropped_fields.append(f"{prefix}{key}[{i}]")
     return out
@@ -390,7 +407,7 @@ def _read_dict(value, prefix: str, key: str, report: CleaningReport) -> dict:
 
 
 def _read_object(value, prefix: str, key: str, report: CleaningReport, cls: type):
-    return _read_block(cls, _read_dict(value, prefix, key, report), f"{prefix}{key}.", report)
+    return _READERS[cls](_read_dict(value, prefix, key, report), f"{prefix}{key}.", report)
 
 
 def _read_optional_object(value, prefix: str, key: str, report: CleaningReport, cls: type):
@@ -399,13 +416,13 @@ def _read_optional_object(value, prefix: str, key: str, report: CleaningReport, 
     if not isinstance(value, dict):
         report.dropped_fields.append(prefix + key)
         return None
-    return _read_block(cls, value, f"{prefix}{key}.", report)
+    return _READERS[cls](value, f"{prefix}{key}.", report)
 
 
 def _read_hex_map(value, prefix: str, key: str, report: CleaningReport, _arg) -> dict[str, str]:
     out: dict[str, str] = {}
     for name, item in _read_dict(value, prefix, key, report).items():
-        if isinstance(item, str) and (item == "" or _HEX_RE.match(item)):
+        if isinstance(item, str) and (item == "" or _HEX_RE.fullmatch(item)):
             out[name.lower()] = "0x%x" % int(item, 16) if item else ""
         else:
             report.dropped_fields.append(f"{prefix}{key}.{name}")
@@ -415,8 +432,9 @@ def _read_hex_map(value, prefix: str, key: str, report: CleaningReport, _arg) ->
 def _read_bytes_map(value, prefix: str, key: str, report: CleaningReport, _arg) -> dict[str, bytes]:
     out: dict[str, bytes] = {}
     for name, item in _read_dict(value, prefix, key, report).items():
-        if isinstance(item, str) and _BYTES_RE.match(item):
-            out[name.lower()] = bytes.fromhex(item)
+        data = _hex_bytes(item)
+        if data is not None:
+            out[name.lower()] = data
         else:
             report.dropped_fields.append(f"{prefix}{key}.{name}")
     return out
@@ -474,10 +492,40 @@ def _build_schema(cls: type, schema: dict) -> dict:
 _SCHEMA: dict[type, tuple[tuple[str, str, Callable, Any], ...]] = _build_schema(CanonicalLog, {})
 
 
-def _read_block(cls: type, obj: dict, prefix: str, report: CleaningReport):
-    """Build ``cls`` positionally, field by field, from the raw dict ``obj``."""
-    get = obj.get
-    return cls(*[read(get(key), prefix, key, report, arg) for _, key, read, arg in _SCHEMA[cls]])
+#: The clean case of a field, read inline by a generated block reader: the
+#: expression is the field value when the condition after ``if`` holds for the
+#: raw value ``v``.  Any other value goes to the field's reader.
+_INLINE = {
+    _read_str: "v if type(v) is str",
+    _read_int: "v if type(v) is int and v >= 0",
+    _read_hex: '"0x%x" % int(v, 16) if type(v) is str and _hex(v)',
+}
+
+
+def _generate_reader(cls: type) -> Callable[[dict, str, CleaningReport], Any]:
+    """``read(obj, prefix, report)``: build ``cls`` from the raw dict ``obj``.
+
+    The source is generated from ``_SCHEMA[cls]``, the way ``dataclasses``
+    generates ``__init__``: one line per field, in field order, so values and
+    report entries come out exactly as from calling each field's reader.
+    """
+    namespace: dict[str, Any] = {"cls": cls, "_hex": _HEX_RE.fullmatch}
+    lines = ["def read(obj, prefix, report):", "    get = obj.get"]
+    for i, (_, key, read, arg) in enumerate(_SCHEMA[cls]):
+        namespace[f"read{i}"], namespace[f"arg{i}"] = read, arg
+        call = f"read{i}(v, prefix, {key!r}, report, arg{i})"
+        inline = _INLINE.get(read)
+        lines.append(f"    v = get({key!r})")
+        lines.append(f"    f{i} = {inline} else {call}" if inline else f"    f{i} = {call}")
+    lines.append(f"    return cls({', '.join(f'f{i}' for i in range(len(_SCHEMA[cls])))})")
+    exec("\n".join(lines), namespace)
+    return namespace["read"]
+
+
+#: Every block class -> its generated reader.
+_READERS: dict[type, Callable[[dict, str, CleaningReport], Any]] = {
+    cls: _generate_reader(cls) for cls in _SCHEMA
+}
 
 
 #: pe_type implies arch: PE32 images are x86, PE32+ images are x64.
@@ -545,7 +593,7 @@ def parse_log(raw: bytes) -> tuple[CanonicalLog, CleaningReport]:
     if not isinstance(doc, dict):
         raise NotJson("top-level JSON value is not an object")
 
-    log = _read_block(CanonicalLog, doc, "", report)
+    log = _READERS[CanonicalLog](doc, "", report)
     _imply_arch(log.pe, report)
     return log, report
 

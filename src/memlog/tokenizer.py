@@ -80,7 +80,8 @@ def _page(address: str) -> str:
 
 def hex_words(data: bytes) -> list[str]:
     """Split a byte string into 4-byte hex words; a short tail stays shorter."""
-    return [data[i:i + 4].hex() for i in range(0, len(data), 4)]
+    text = data.hex()
+    return [text[i:i + 8] for i in range(0, len(text), 8)]
 
 
 def _pair(prefix: str, value: str) -> Optional[str]:

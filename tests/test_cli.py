@@ -204,12 +204,12 @@ class TestParsing:
         assert "--corpus" in result.stderr and "Traceback" not in result.stderr
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("out", ["a file", ""])
+    @pytest.mark.parametrize("out", ["a file", "", "under a file"])
     def test_gen_out_that_is_no_directory_path_is_usage_error(self, tmp_path, out):
         target = tmp_path / "taken"
         target.write_text("kept")
-        result = run_cli("gen", "--out", target if out else "", "--malicious", "2",
-                         "--benign", "2")
+        path = {"a file": target, "": "", "under a file": target / "sub" / "deeper"}[out]
+        result = run_cli("gen", "--out", path, "--malicious", "2", "--benign", "2")
         assert result.returncode == 2, result.stderr
         assert "--out" in result.stderr and "Traceback" not in result.stderr
         assert target.read_text() == "kept" and list(tmp_path.iterdir()) == [target]

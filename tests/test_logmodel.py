@@ -4,13 +4,16 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memlog import logmodel
 from memlog.errors import EmptyDocument, LogParseError, NotJson, OversizeLog
 from memlog.logmodel import (
+    _SCHEMA,
     DEFAULT_MAX_BYTES,
     Anonymized,
     Arch,
@@ -175,6 +178,25 @@ class TestCleaningRules:
         log, report = parse_log(b'{"runtime":{"stack_snapshot":"abc"}}')
         assert log.runtime.stack_snapshot == b""
         assert "runtime.stack_snapshot" in report.dropped_fields
+
+    def test_trailing_newline_is_not_hex(self):
+        raw = b'{"runtime":{"base_address":"0x1F\\n","stack_snapshot":"ab\\n","registers":{"RAX":"0x10\\n"}}}'
+        log, report = parse_log(raw)
+        assert (log.runtime.base_address, log.runtime.stack_snapshot, log.runtime.registers) == ("", b"", {})
+        assert report.dropped_fields == [
+            "runtime.base_address", "runtime.registers.RAX", "runtime.stack_snapshot",
+        ]
+
+    @pytest.mark.parametrize("value", ["ab cd", " abcd", "abcd ", "ab\tcd", "0xab", "\u0661\u0662"])
+    def test_byte_string_with_anything_but_hex_digits_dropped(self, value):
+        doc = {"runtime": {"register_snippets": {"eip": value},
+                           "illegal_accesses": [{"address": "0x10", "bytes": value}]}}
+        log, report = parse_log(json.dumps(doc).encode("utf-8"))
+        assert log.runtime.register_snippets == {}
+        assert log.runtime.illegal_accesses == [IllegalAccess(address="0x10")]
+        assert report.dropped_fields == [
+            "runtime.register_snippets.eip", "runtime.illegal_accesses[0].bytes",
+        ]
 
     def test_wrong_typed_list_dropped(self):
         log, report = parse_log(b'{"runtime":{"found_urls":"not-a-list"}}')
@@ -351,3 +373,75 @@ class TestParseTotality:
         relog, report = parse_log(serialize_log(log))
         assert relog == log
         assert report.empty
+
+
+# Raw values a field may hold, besides its valid values: wrong types, edge
+# numbers, and hex-like strings with spaces, prefixes or a trailing newline.
+_ODD_TEXT = ["", "abc", "0a 0b", " 0x1", "0x1 ", "0X10", "0x10\n", "ab\n", "ab\ncd", "\n", "0x", "HIGH"]
+_ODD = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(),
+    st.sampled_from(_ODD_TEXT),
+    st.lists(st.one_of(st.none(), st.integers(), st.sampled_from(_ODD_TEXT), st.just({})), max_size=3),
+    st.dictionaries(st.sampled_from(["RAX", "eip"]), st.one_of(st.integers(), st.sampled_from(_ODD_TEXT)),
+                    max_size=2),
+)
+_HEX_SCALAR = st.from_regex(r"(0[xX])?[0-9a-fA-F]{1,8}", fullmatch=True)
+_HEX_BYTES = st.binary(max_size=6).map(bytes.hex) | st.binary(max_size=6).map(lambda b: b.hex().upper())
+
+
+def _schema_value(read, arg):
+    """Strategy for the raw value of a field read by ``read``: valid or odd."""
+    if read is logmodel._read_str:
+        valid = st.text(max_size=6)
+    elif read is logmodel._read_int:
+        valid = st.integers(min_value=0, max_value=2**40) | st.just(3.0)
+    elif read is logmodel._read_float:
+        valid = st.floats(min_value=-1, max_value=9)
+    elif read is logmodel._read_bool:
+        valid = st.booleans()
+    elif read is logmodel._read_enum:
+        valid = st.sampled_from([e.value for e in arg] + [e.value.upper() for e in arg])
+    elif read is logmodel._read_hex:
+        valid = _HEX_SCALAR
+    elif read is logmodel._read_bytes:
+        valid = _HEX_BYTES
+    elif read is logmodel._read_str_list:
+        valid = st.lists(st.text(max_size=4) | _ODD, max_size=3)
+    elif read is logmodel._read_hex_map:
+        valid = st.dictionaries(st.sampled_from(["RAX", "eip", "r8"]), _HEX_SCALAR | _ODD, max_size=3)
+    elif read is logmodel._read_bytes_map:
+        valid = st.dictionaries(st.sampled_from(["RAX", "eip"]), _HEX_BYTES | _ODD, max_size=2)
+    elif read is logmodel._read_object_list:
+        valid = st.lists(_schema_block(arg) | _ODD, max_size=3)
+    else:  # a nested block, required or optional: odd only one time in four
+        return st.integers(0, 3).flatmap(lambda n: _schema_block(arg) if n else _ODD)
+    return valid | _ODD
+
+
+def _schema_block(cls):
+    """Strategy for a raw block of ``cls``: any subset of its real keys, plus an unknown one."""
+    optional = {key: _schema_value(read, arg) for _, key, read, arg in _SCHEMA[cls]}
+    optional["junk"] = _ODD
+    return st.fixed_dictionaries({}, optional=optional)
+
+
+def _generic_reader(cls):
+    """Reference block reader: calls each field's reader of ``_SCHEMA[cls]``, in field order."""
+    def read_block(obj, prefix, report):
+        get = obj.get
+        return cls(*[read(get(key), prefix, key, report, arg) for _, key, read, arg in _SCHEMA[cls]])
+    return read_block
+
+
+class TestGeneratedReaders:
+    @given(_schema_block(CanonicalLog))
+    @settings(max_examples=300, deadline=None)
+    def test_same_as_calling_each_field_reader(self, doc):
+        raw = json.dumps(doc).encode("utf-8")
+        generic = {cls: _generic_reader(cls) for cls in _SCHEMA}
+        with mock.patch.dict(logmodel._READERS, generic):
+            expected = repr(parse_log(raw))
+        assert repr(parse_log(raw)) == expected

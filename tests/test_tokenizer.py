@@ -151,8 +151,7 @@ class TestHexWords:
     @given(st.binary(max_size=256))
     @settings(max_examples=100, deadline=None)
     def test_reference_chunker(self, data):
-        hexed = data.hex()
-        expected = [hexed[i:i + 8] for i in range(0, len(hexed), 8)]
+        expected = [data[i:i + 4].hex() for i in range(0, len(data), 4)]
         assert hex_words(data) == expected
 
 
