@@ -5,10 +5,10 @@ epoch, the split search and the growth of one tree.
 Builds workloads through the real pipeline (synthetic corpus, trained
 embeddings).  It checks that the native lookup, skip-gram epoch and tree
 grower agree exactly with their numpy references (one epoch of the whole
-corpus, one tree over every row), then reports best-of-N times for both;
-without a C compiler on PATH only the numpy kernels are timed.  Split
-search has one implementation, timed on one root node.  Last comes the fit
-of a whole forest with each grower.
+corpus, one tree over every row), then reports best-of-N times for both,
+and the skip-gram epoch's time per pair; without a C compiler on PATH only
+the numpy kernels are timed.  Split search has one implementation, timed
+on one root node.  Last comes the fit of a whole forest with each grower.
 """
 import argparse
 import time
@@ -37,12 +37,14 @@ def best_of(fn, repeats):
     return min(times)
 
 
-def report(name, detail, numpy_s, native_s):
+def report(name, detail, numpy_s, native_s, pairs=0):
+    """One line of best times; given ``pairs``, the first time also per pair."""
+    per = f" ({(native_s or numpy_s) / pairs * 1e9:.0f} ns/pair)" if pairs else ""
     if native_s is None:
-        print(f"{name:<16} {detail:<28} numpy {numpy_s * 1e3:8.2f} ms")
+        print(f"{name:<16} {detail:<28} numpy {numpy_s * 1e3:8.2f} ms{per}")
     else:
         print(
-            f"{name:<16} {detail:<28} native {native_s * 1e3:8.2f} ms | "
+            f"{name:<16} {detail:<28} native {native_s * 1e3:8.2f} ms{per} | "
             f"numpy {numpy_s * 1e3:8.2f} ms | speedup {numpy_s / native_s:5.1f}x"
         )
 
@@ -93,13 +95,13 @@ def bench_sgns(vocab, ids, offsets, hp, repeats):
     numpy_s = best_of(run(kernels._sgns_epoch_numpy), repeats)
     detail = f"vocab={len(vocab)} pairs={pairs}"
     if not NATIVE:
-        report("sgns_epoch", detail, numpy_s, None)
+        report("sgns_epoch", detail, numpy_s, None, pairs)
         return
     assert epoch_result(kernels._sgns_epoch_native, ids, offsets, vin0, vout0, args) == (
         epoch_result(kernels._sgns_epoch_numpy, ids, offsets, vin0, vout0, args)
     )
     native_s = best_of(run(kernels._sgns_epoch_native), repeats)
-    report("sgns_epoch", detail, numpy_s, native_s)
+    report("sgns_epoch", detail, numpy_s, native_s, pairs)
 
 
 def first_round(X, y):

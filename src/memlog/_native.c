@@ -3,8 +3,10 @@
  *
  * Each computes what its numpy reference in kernels.py computes:
  * memlog_sgns_epoch, one update rule for every target of a skip-gram pair,
- * with the same operand types and evaluation order as
- * kernels._sgns_epoch_numpy; memlog_draw_negatives the same integers as
+ * with the same operand types and evaluation order per target as
+ * kernels._sgns_epoch_numpy (the scores of a pair's distinct targets run
+ * side by side, each still one sequential sum; a pair with a repeated
+ * target runs in sequence); memlog_draw_negatives the same integers as
  * np.searchsorted; memlog_grow_tree the same tree_node records as
  * kernels._grow_tree_numpy.  Built with -O3 but without fast-math and
  * with -ffp-contract=off, so no operation is fused or reordered (gcc
@@ -25,7 +27,45 @@
 /* ------------------------------------------------------------------------
  * skip-gram with negative sampling: kernels._sgns_epoch_numpy, whose
  * comment states the one rule this loop applies to every target of a pair
+ *
+ * A target's score u . v reads v, which moves only after the pair's last
+ * target, and u, which only that target moves.  So when a pair's targets
+ * are pairwise distinct, no target's update touches another's score, and
+ * the scores are computed first, side by side in blocks of up to 8 (an add
+ * takes several cycles, and a lone chain waits on each).  Each is
+ * still its own sequential float64 sum over d, so it has the bits of the
+ * sequential loop.  A pair with a repeated target scores each target just
+ * before its update, as the reference does.
  */
+
+#define SGNS_BLOCK 8
+
+/* score[c] = u[c] . v for the m <= SGNS_BLOCK rows u[c], one chain each.
+ * Called with a constant m, so the chains are unrolled into registers
+ * rather than padded to a full block. */
+static inline void dots(int m, float *const *u, const float *v, int64_t dim, double *score)
+{
+    double s[SGNS_BLOCK] = {0.0};
+    for (int64_t d = 0; d < dim; d++)
+        for (int c = 0; c < m; c++)
+            s[c] += (double)(u[c][d] * v[d]);
+    for (int c = 0; c < m; c++)
+        score[c] = s[c];
+}
+
+static void block_dots(int m, float *const *u, const float *v, int64_t dim, double *score)
+{
+    switch (m) {
+    case 1: dots(1, u, v, dim, score); break;
+    case 2: dots(2, u, v, dim, score); break;
+    case 3: dots(3, u, v, dim, score); break;
+    case 4: dots(4, u, v, dim, score); break;
+    case 5: dots(5, u, v, dim, score); break;
+    case 6: dots(6, u, v, dim, score); break;
+    case 7: dots(7, u, v, dim, score); break;
+    default: dots(SGNS_BLOCK, u, v, dim, score); break;
+    }
+}
 
 int memlog_sgns_epoch(const int32_t *ids, const int64_t *offsets, int64_t n_sentences,
                       float *vin, float *vout, int64_t dim,
@@ -33,9 +73,16 @@ int memlog_sgns_epoch(const int32_t *ids, const int64_t *offsets, int64_t n_sent
                       double lr0, double lr_floor, int64_t pair_base, int64_t total_pairs,
                       double *loss_out)
 {
+    /* per pair: v's summed pulls, and each target's row and score */
     float *grad_v = malloc((dim > 0 ? (size_t)dim : 1) * sizeof(float));
-    if (grad_v == NULL)
+    float **rows = malloc((size_t)(k + 1) * sizeof *rows);
+    double *scores = malloc((size_t)(k + 1) * sizeof *scores);
+    if (!grad_v || !rows || !scores) {
+        free(grad_v);
+        free(rows);
+        free(scores);
         return -1;
+    }
     int64_t pair = 0;
     double loss = 0.0;
     for (int64_t s = 0; s < n_sentences; s++) {
@@ -54,15 +101,33 @@ int memlog_sgns_epoch(const int32_t *ids, const int64_t *offsets, int64_t n_sent
                 for (int64_t d = 0; d < dim; d++)
                     grad_v[d] = 0.0f;
 
-                for (int64_t n = 0; n <= k; n++) {
-                    /* target 0 is the context (label 1), the rest the negatives (label 0) */
-                    int32_t target = n == 0 ? context : negatives[pair * k + n - 1];
-                    if (n > 0 && target == context)
+                /* target 0 is the context (label 1), the rest the negatives
+                 * that are not the context (label 0) */
+                const int32_t *drawn = negatives + pair * k;
+                int64_t m = 0;
+                rows[m++] = vout + (int64_t)context * dim;
+                int distinct = 1;
+                for (int64_t n = 0; n < k; n++) {
+                    if (drawn[n] == context)
                         continue;
-                    float *u = vout + (int64_t)target * dim;
+                    float *u = vout + (int64_t)drawn[n] * dim;
+                    for (int64_t a = 1; a < m && distinct; a++)
+                        distinct = rows[a] != u;
+                    rows[m++] = u;
+                }
+                if (distinct)
+                    for (int64_t b = 0; b < m; b += SGNS_BLOCK)
+                        block_dots(m - b < SGNS_BLOCK ? (int)(m - b) : SGNS_BLOCK, rows + b, v,
+                                   dim, scores + b);
+
+                for (int64_t n = 0; n < m; n++) {
+                    float *u = rows[n];
                     double score = 0.0;
-                    for (int64_t d = 0; d < dim; d++)
-                        score += (double)(u[d] * v[d]);
+                    if (distinct)
+                        score = scores[n];
+                    else
+                        for (int64_t d = 0; d < dim; d++)
+                            score += (double)(u[d] * v[d]);
                     double e = exp(-fabs(score));
                     double sig = score >= 0.0 ? 1.0 / (1.0 + e) : e / (1.0 + e);
                     double z = n == 0 ? -score : score;
@@ -81,6 +146,8 @@ int memlog_sgns_epoch(const int32_t *ids, const int64_t *offsets, int64_t n_sent
         }
     }
     free(grad_v);
+    free(rows);
+    free(scores);
     *loss_out = loss;
     return 0;
 }

@@ -8,7 +8,8 @@ also the fallback when there is no compiler, and a C port in
 - the skip-gram epoch, ``sgns_epoch``: ``_sgns_epoch_numpy`` loops over
   numpy rows and is checked against the float64 pair objective in
   ``embedding``; ``_sgns_epoch_native`` does the same arithmetic in the
-  same order;
+  same order for each target, scoring a pair's distinct targets side by
+  side;
 - the negative-sample lookup, ``draw_negatives``: ``_draw_negatives_numpy``
   is ``np.searchsorted`` over the sampling CDF; ``_draw_negatives_native``
   finds the same integers through a guide table;
@@ -77,6 +78,12 @@ GAIN_TIE_ABS = 1e-15
 # center v, adds the softplus loss log(1 + exp(-s)) for the context or
 # log(1 + exp(s)) for a negative, and moves by (label - sigmoid(s)) * lr
 # times v; v moves once, by the sum of its pulls, after its last target.
+#
+# So a target's score depends on no other target's update unless the two
+# share a row.  The C epoch uses that: when a pair's targets are pairwise
+# distinct, it computes their scores side by side before any update, each
+# still one sequential sum in this order; a pair with a repeated target
+# scores each target just before its update, as this loop does.
 
 
 def count_pairs(offsets, window):
@@ -303,8 +310,9 @@ def predict_margin(forest, rows, base, shrinkage):
 # and layout (``_array``), shapes, that every index the kernel follows
 # (token ids, negatives, the tree's row orders) is in range, that every
 # value the lookup turns into an index (cdf, draws) is finite and ordered
-# as it assumes, and that the tree's features hold no NaN, around which no
-# threshold splits.  They check once per call, never per node.
+# as it assumes, that the skip-gram matrices share no memory, and that the
+# tree's features hold no NaN, around which no threshold splits.  They
+# check once per call, never per node.
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native.c")
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
@@ -410,6 +418,8 @@ def _sgns_epoch_native(ids, offsets, vin, vout, negatives, window, lr0, lr_floor
     rows, dim = vin.shape
     if vout.shape != vin.shape:
         raise ValueError(f"vin {vin.shape} and vout {vout.shape} differ in shape")
+    if np.may_share_memory(vin, vout):  # the kernel scores a pair's targets before moving v
+        raise ValueError("vin and vout must not share memory")
     lengths = np.diff(offsets)
     if offsets.size == 0 or offsets[0] < 0 or offsets[-1] > ids.size or (lengths < 0).any():
         raise ValueError("offsets must be non-decreasing indices into ids")
@@ -429,7 +439,7 @@ def _sgns_epoch_native(ids, offsets, vin, vout, negatives, window, lr0, lr_floor
         window, lr0, lr_floor, pair_base, total_pairs, ctypes.byref(loss),
     )
     if status != 0:
-        raise MemoryError("native skip-gram epoch could not allocate its gradient buffer")
+        raise MemoryError("native skip-gram epoch could not allocate its scratch buffers")
     return loss.value
 
 

@@ -328,17 +328,19 @@ def _read_enum(value, prefix: str, key: str, report: CleaningReport, cls: type[E
     return None
 
 
+def _hex_scalar(value) -> Optional[str]:
+    """Hex scalar ``value`` in canonical form 0x-lower, "" for "", else None."""
+    if isinstance(value, str) and (value == "" or _HEX_RE.fullmatch(value)):
+        return "0x%x" % int(value, 16) if value else ""
+    return None
+
+
 def _read_hex(value, prefix: str, key: str, report: CleaningReport, _arg) -> str:
-    """Hex scalar such as an address or flags word; canonical form 0x-lower."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        if value == "":
-            return ""
-        if _HEX_RE.fullmatch(value):
-            return "0x%x" % int(value, 16)
-    report.dropped_fields.append(prefix + key)
-    return ""
+    """Hex scalar such as an address or flags word."""
+    out = "" if value is None else _hex_scalar(value)
+    if out is None:
+        report.dropped_fields.append(prefix + key)
+    return out or ""
 
 
 def _hex_bytes(value) -> Optional[bytes]:
@@ -419,24 +421,22 @@ def _read_optional_object(value, prefix: str, key: str, report: CleaningReport, 
     return _READERS[cls](value, f"{prefix}{key}.", report)
 
 
-def _read_hex_map(value, prefix: str, key: str, report: CleaningReport, _arg) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _read_register_map(value, prefix: str, key: str, report: CleaningReport, read_item) -> dict:
+    """Register name, lowercased, to ``read_item`` of its value; a value it
+    refuses (None) is dropped.  Of names that differ only in case, the last
+    with a readable value wins and each one it overwrites is dropped."""
+    out: dict = {}
+    names: dict[str, str] = {}
     for name, item in _read_dict(value, prefix, key, report).items():
-        if isinstance(item, str) and (item == "" or _HEX_RE.fullmatch(item)):
-            out[name.lower()] = "0x%x" % int(item, 16) if item else ""
-        else:
+        data = read_item(item)
+        if data is None:
             report.dropped_fields.append(f"{prefix}{key}.{name}")
-    return out
-
-
-def _read_bytes_map(value, prefix: str, key: str, report: CleaningReport, _arg) -> dict[str, bytes]:
-    out: dict[str, bytes] = {}
-    for name, item in _read_dict(value, prefix, key, report).items():
-        data = _hex_bytes(item)
-        if data is not None:
-            out[name.lower()] = data
-        else:
-            report.dropped_fields.append(f"{prefix}{key}.{name}")
+            continue
+        lower = name.lower()
+        if lower in names:
+            report.dropped_fields.append(f"{prefix}{key}.{names[lower]}")
+        names[lower] = name
+        out[lower] = data
     return out
 
 
@@ -459,9 +459,9 @@ def _codec(f: Field, hint) -> tuple[Callable, Any]:
     if hint == list[str]:
         return _read_str_list, None
     if hint == dict[str, str]:  # register name -> hex scalar
-        return _read_hex_map, None
+        return _read_register_map, _hex_scalar
     if hint == dict[str, bytes]:
-        return _read_bytes_map, None
+        return _read_register_map, _hex_bytes
     if get_origin(hint) is list:
         return _read_object_list, get_args(hint)[0]
     if is_dataclass(hint):

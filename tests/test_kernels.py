@@ -265,6 +265,24 @@ def both_backends(kernel):
 
 IMPLS = both_backends("sgns_epoch")
 
+#: Negatives per pair in the block-width parity grid: k + 1 = 1, 2, 8, 9, 10
+#: and 18 targets make a lone chain, a full block, a full and a partial
+#: block, and three blocks.
+PARITY_KS = (0, 1, 7, 8, 9, 17)
+
+
+def pair_targets(ids, offsets, window, negatives):
+    """Each pair's targets in epoch order: its context, then its negatives
+    that are not the context."""
+    pair = 0
+    for s in range(len(offsets) - 1):
+        start, stop = offsets[s], offsets[s + 1]
+        for i in range(start, stop):
+            for j in range(max(i - window, start), min(i + window, stop - 1) + 1):
+                if j != i:
+                    yield [ids[j], *[t for t in negatives[pair] if t != ids[j]]]
+                    pair += 1
+
 
 #: Scales at which every float32 product of a saturating epoch stays finite.
 SATURATING_SCALES = (0.01, 0.1, 1.0, 10.0, 100.0, 1e3)
@@ -335,6 +353,34 @@ class TestSgnsKernels:
                     assert np.array_equal(a, b, equal_nan=True)
                     if scale < 1e20:
                         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @pytest.mark.skipif(kernels.BACKEND != "native", reason="native backend inactive")
+    def test_compiled_matches_python_source_at_every_block_width(self):
+        # The C epoch scores a pair's distinct targets side by side in blocks
+        # of up to 8 and sends a pair with a repeated target down the
+        # sequential loop.  On 5 tokens most pairs repeat a target; on 40
+        # most do not, and k + 1 targets fill every block width.
+        widths, repeated = set(), 0
+        for k in PARITY_KS:
+            for dim in (1, 3, 33):
+                for n_tokens in (5, 40):
+                    ids, offsets, vin, _, negatives, window, pairs = sgns_inputs(
+                        70 + k + dim, n_tokens, dim, k=k
+                    )
+                    rng = np.random.default_rng([k, dim])
+                    vout = rng.random(vin.shape, dtype=np.float32) - np.float32(0.5)
+                    for targets in pair_targets(ids, offsets, window, negatives):
+                        if len(set(targets)) < len(targets):
+                            repeated += 1
+                        else:
+                            widths.update({len(targets) % 8 or 8, min(len(targets), 8)})
+                    results = []
+                    for impl in (kernels._sgns_epoch_native, kernels._sgns_epoch_numpy):
+                        a, b = vin.copy(), vout.copy()
+                        loss = impl(ids, offsets, a, b, negatives, window, 0.5, 0.5e-4, 0, pairs)
+                        results.append(np.float64(loss).tobytes() + a.tobytes() + b.tobytes())
+                    assert results[0] == results[1], (k, dim, n_tokens)
+        assert widths == set(range(1, 9)) and repeated
 
     def test_numpy_epoch_implements_pair_objective(self):
         # One sentence [0, 1] at window 1 is two pairs: (0 -> 1), then
@@ -452,6 +498,8 @@ class TestNativeInputChecks:
             self.epoch(ids=-ids - 1)
         with pytest.raises(ValueError):
             self.epoch(offsets=offsets[::-1].copy())
+        with pytest.raises(ValueError, match="share memory"):
+            self.epoch(vin=vin, vout=vin)
 
     def test_grow_tree_rejects_bad_input(self):
         X, g, h = split_inputs(45, n=30, d=4)
@@ -528,3 +576,4 @@ class TestBenchmarkScript:
         names = ("draw_negatives", "sgns_epoch", "best_split", "grow_tree", "train_classifier")
         for kernel in names:
             assert kernel in result.stdout
+        assert "ns/pair" in result.stdout

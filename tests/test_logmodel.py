@@ -187,6 +187,19 @@ class TestCleaningRules:
             "runtime.base_address", "runtime.registers.RAX", "runtime.stack_snapshot",
         ]
 
+    def test_register_names_differing_only_in_case_keep_the_last_and_report_the_rest(self):
+        doc = {"runtime": {
+            "registers": {"RAX": "0x1", "Rax": "zz", "rax": "0x2", "EIP": "0x3", "r8": "0x4"},
+            "register_snippets": {"EIP": "90", "eip": "cc", "Eip": "cc dd", "esp": "00"},
+        }}
+        log, report = parse_log(json.dumps(doc).encode("utf-8"))
+        assert log.runtime.registers == {"rax": "0x2", "eip": "0x3", "r8": "0x4"}
+        assert log.runtime.register_snippets == {"eip": b"\xcc", "esp": b"\x00"}
+        assert report.dropped_fields == [
+            "runtime.registers.Rax", "runtime.registers.RAX",
+            "runtime.register_snippets.EIP", "runtime.register_snippets.Eip",
+        ]
+
     @pytest.mark.parametrize("value", ["ab cd", " abcd", "abcd ", "ab\tcd", "0xab", "\u0661\u0662"])
     def test_byte_string_with_anything_but_hex_digits_dropped(self, value):
         doc = {"runtime": {"register_snippets": {"eip": value},
@@ -410,9 +423,9 @@ def _schema_value(read, arg):
         valid = _HEX_BYTES
     elif read is logmodel._read_str_list:
         valid = st.lists(st.text(max_size=4) | _ODD, max_size=3)
-    elif read is logmodel._read_hex_map:
+    elif read is logmodel._read_register_map and arg is logmodel._hex_scalar:
         valid = st.dictionaries(st.sampled_from(["RAX", "eip", "r8"]), _HEX_SCALAR | _ODD, max_size=3)
-    elif read is logmodel._read_bytes_map:
+    elif read is logmodel._read_register_map:
         valid = st.dictionaries(st.sampled_from(["RAX", "eip"]), _HEX_BYTES | _ODD, max_size=2)
     elif read is logmodel._read_object_list:
         valid = st.lists(_schema_block(arg) | _ODD, max_size=3)
