@@ -21,7 +21,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import WatchDirMissing
 
@@ -38,17 +38,12 @@ REQUEST_TIMEOUT_S = 10.0
 
 
 @dataclass
-class RetryPolicy:
-    max_attempts: int = 3
-    backoff_base_ms: int = 100
-
-
-@dataclass
 class AgentConfig:
     watch_dir: str
     server_url: str
     poll_interval_ms: int = 500
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    max_attempts: int = 3
+    backoff_base_ms: int = 100
     drain: bool = False
 
 
@@ -147,8 +142,8 @@ class Agent:
                 logger.exception("cannot quarantine %s", name)
             return
 
-        retry = self.config.retry
-        for attempt in range(1, retry.max_attempts + 1):
+        config = self.config
+        for attempt in range(1, config.max_attempts + 1):
             outcome, payload = _post_once(self.endpoint, body)
             if outcome == _Outcome.OK:
                 self._record(name, payload)
@@ -158,10 +153,10 @@ class Agent:
                 logger.warning("rejected %s: %s", name, payload)
                 self._move(name, self.failed_dir)
                 return
-            if attempt < retry.max_attempts and not self._stop.is_set():
-                delay_s = retry.backoff_base_ms * (2 ** (attempt - 1)) / 1000.0
+            if attempt < config.max_attempts and not self._stop.is_set():
+                delay_s = config.backoff_base_ms * (2 ** (attempt - 1)) / 1000.0
                 time.sleep(delay_s)
-        logger.warning("gave up on %s after %d attempts", name, retry.max_attempts)
+        logger.warning("gave up on %s after %d attempts", name, config.max_attempts)
         self._move(name, self.failed_dir)
 
     def run(self) -> None:

@@ -162,19 +162,17 @@ def _emit(payload: dict) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    from .synthgen import GenSpec, Heterogeneity, generate_corpus, write_corpus
+    from .synthgen import GenSpec, generate_corpus, write_corpus
 
     spec = GenSpec(
         n_malicious=args.malicious,
         n_benign=args.benign,
         overlap=args.overlap,
         seed=args.seed,
-        heterogeneity=Heterogeneity(
-            n_os_versions=args.os_versions,
-            n_exe_names=args.exe_names,
-            n_module_pool=args.module_pool,
-            n_malware_families=args.families,
-        ),
+        n_os_versions=args.os_versions,
+        n_exe_names=args.exe_names,
+        n_module_pool=args.module_pool,
+        n_malware_families=args.families,
     )
     logs = generate_corpus(spec)
     names = write_corpus(args.out, logs)
@@ -238,10 +236,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         negatives=args.negatives,
         epochs=args.epochs,
         initial_lr=args.lr,
-        min_count=args.min_count,
         seed=args.seed,
     )
-    vocab = build_vocab(grouped, min_count=hyper.min_count)
+    vocab = build_vocab(grouped, min_count=args.min_count)
     embeddings = train_embeddings(grouped, vocab, hyper)
     X = vectorize_tokens(grouped, embeddings)
     params = GbdtParams(
@@ -323,7 +320,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_agent(args: argparse.Namespace) -> int:
-    from .agent import AgentConfig, RetryPolicy, resolve_server, run_agent
+    from .agent import AgentConfig, resolve_server, run_agent
 
     if args.watch_dir is None:
         raise WatchDirMissing("agent requires --watch (or config key watch_dir)")
@@ -337,7 +334,8 @@ def cmd_agent(args: argparse.Namespace) -> int:
             watch_dir=args.watch_dir,
             server_url=server_url,
             poll_interval_ms=args.poll_interval_ms,
-            retry=RetryPolicy(args.max_attempts, args.backoff_base_ms),
+            max_attempts=args.max_attempts,
+            backoff_base_ms=args.backoff_base_ms,
             drain=args.drain,
         )
     )

@@ -48,7 +48,6 @@ class Hyperparams:
     negatives: int = 5
     epochs: int = 5
     initial_lr: float = 0.025
-    min_count: int = 2
     seed: int = 1
 
 
@@ -145,12 +144,11 @@ def _negative_sampling_cdf(vocab: Vocabulary) -> np.ndarray:
 def train_embeddings(
     corpus: Sequence[GroupedTokens],
     vocab: Vocabulary,
-    hyperparams: Hyperparams | None = None,
+    hyperparams: Hyperparams,
 ) -> EmbeddingModel:
     """Train embeddings; deterministic for a given corpus, vocab and seed."""
-    hp = hyperparams or Hyperparams()
-    if hp.window < 1:
-        raise ValueError(f"window must be >= 1, got {hp.window}")
+    if hyperparams.window < 1:
+        raise ValueError(f"window must be >= 1, got {hyperparams.window}")
     if not corpus:
         raise EmptyCorpus("training corpus is empty")
     if len(vocab) == 0:
@@ -162,17 +160,17 @@ def train_embeddings(
         if not shared:
             raise VocabMismatch("corpus shares no tokens with the vocabulary")
 
-    rng = np.random.default_rng(hp.seed)
+    rng = np.random.default_rng(hyperparams.seed)
     vin = ((rng.random((len(vocab), EMBEDDING_DIM), dtype=np.float32)) - 0.5) / EMBEDDING_DIM
     vout = np.zeros((len(vocab), EMBEDDING_DIM), dtype=np.float32)
 
-    pairs_per_epoch = kernels.count_pairs(offsets, hp.window)
+    pairs_per_epoch = kernels.count_pairs(offsets, hyperparams.window)
     if pairs_per_epoch > 0:
         cdf = _negative_sampling_cdf(vocab)
-        total_pairs = pairs_per_epoch * hp.epochs
-        lr_floor = hp.initial_lr * LR_FLOOR_FRACTION
-        for epoch in range(hp.epochs):
-            draws = rng.random((pairs_per_epoch, hp.negatives))
+        total_pairs = pairs_per_epoch * hyperparams.epochs
+        lr_floor = hyperparams.initial_lr * LR_FLOOR_FRACTION
+        for epoch in range(hyperparams.epochs):
+            draws = rng.random((pairs_per_epoch, hyperparams.negatives))
             negatives = kernels.draw_negatives(cdf, draws)
             kernels.sgns_epoch(
                 ids,
@@ -180,8 +178,8 @@ def train_embeddings(
                 vin,
                 vout,
                 negatives,
-                hp.window,
-                hp.initial_lr,
+                hyperparams.window,
+                hyperparams.initial_lr,
                 lr_floor,
                 epoch * pairs_per_epoch,
                 total_pairs,

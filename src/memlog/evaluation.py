@@ -134,14 +134,13 @@ class SplitSpec:
     shuffle_seed: int = 1
 
 
-def holdout_split(labels: Sequence[int], spec: SplitSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
+def holdout_split(labels: Sequence[int], spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint (train_indices, test_indices) into the label pool.
 
     The test set is balanced 1:1 and takes a quarter of the pool, rounded
     down to an even count.  The training set has a malicious fraction
     within one instance of ``spec.train_malicious_fraction``.
     """
-    spec = spec or SplitSpec()
     if not 0.0 < spec.train_malicious_fraction < 1.0:
         raise ValueError(f"train fraction must be in (0, 1), got {spec.train_malicious_fraction}")
     y = _binary(labels, "holdout split")

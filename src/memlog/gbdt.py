@@ -93,6 +93,8 @@ class GbdtModel:
     trees: tuple[RegressionTree, ...] = ()
     #: Training log-loss after round 0 (base score) through the last round.
     training_loss: tuple[float, ...] = ()
+    #: The highest feature index any split reads, -1 when no tree splits.
+    top_feature: int = field(init=False, repr=False)
     #: Each tree as the node column lists :func:`kernels.predict_margin` walks.
     _forest: tuple = field(init=False, repr=False)
     _version: str = field(init=False, repr=False)
@@ -102,6 +104,8 @@ class GbdtModel:
         object.__setattr__(self, "training_loss", tuple(self.training_loss))
         forest = tuple(tuple(t.nodes[name].tolist() for name in _NODE.names) for t in self.trees)
         object.__setattr__(self, "_forest", forest)
+        top = max((int(t.nodes["feature"].max()) for t in self.trees), default=-1)
+        object.__setattr__(self, "top_feature", top)
         digest = hashlib.sha256(_serialize(self)).hexdigest()[:8]
         object.__setattr__(self, "_version", f"{MODEL_VERSION}-{digest}")
 
@@ -136,9 +140,8 @@ def _validate_features(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def train_classifier(X: np.ndarray, y: np.ndarray, params: GbdtParams | None = None) -> GbdtModel:
+def train_classifier(X: np.ndarray, y: np.ndarray, params: GbdtParams) -> GbdtModel:
     """Train a boosted classifier; deterministic for identical inputs."""
-    params = params or GbdtParams()
     X = _validate_features(X)
     y = np.asarray(y, dtype=np.int64)
     if y.shape[0] != X.shape[0]:
@@ -181,7 +184,13 @@ def train_classifier(X: np.ndarray, y: np.ndarray, params: GbdtParams | None = N
 
 
 def predict_margin(model: GbdtModel, X: np.ndarray) -> np.ndarray:
-    rows = _validate_features(X).tolist()
+    X = _validate_features(X)
+    if X.shape[1] <= model.top_feature:
+        raise LengthMismatch(
+            f"rows have {X.shape[1]} columns, but the model splits on column "
+            f"{model.top_feature} and needs at least {model.top_feature + 1}"
+        )
+    rows = X.tolist()
     margins = kernels.predict_margin(model._forest, rows, model.base_score, model.params.shrinkage)
     return np.array(margins, dtype=np.float64)
 

@@ -225,55 +225,40 @@ _NODE = np.dtype(
 )
 
 
-class _TreeBuilder:
-    """Grows one tree depth-first, emitting nodes in preorder."""
+def _grow_tree_numpy(Xt, order, g, h, lam, min_leaf, max_depth):
+    if np.isnan(Xt).any():
+        raise ValueError("Xt must not contain NaN")
+    nodes: list[tuple] = []
+    leaf_of_row = np.zeros(Xt.shape[1], dtype=np.int64)
 
-    def __init__(self, Xt, g, h, lam, min_leaf, max_depth):
-        self.Xt = Xt
-        self.g = g
-        self.h = h
-        self.lam = lam
-        self.min_leaf = min_leaf
-        self.max_depth = max_depth
-        self.nodes: list[tuple] = []
-        self.leaf_of_row = np.zeros(Xt.shape[1], dtype=np.int64)
-
-    def build(self, rows: np.ndarray, order: np.ndarray, depth: int) -> int:
+    def grow(rows: np.ndarray, order: np.ndarray, depth: int) -> int:
         """Grow the node holding ``rows`` (ascending); ``order`` is their per-feature sort."""
-        node = len(self.nodes)
-        self.nodes.append(None)  # preorder: the node's index comes before its children's
-        lam = self.lam
-        g_sum = float(np.cumsum(self.g[rows])[-1]) if rows.size else 0.0
-        h_sum = float(np.cumsum(self.h[rows])[-1]) if rows.size else 0.0
-        if depth < self.max_depth:
-            feature, threshold, gain = best_split(
-                order, self.Xt, self.g, self.h, g_sum, h_sum, lam, self.min_leaf
-            )
+        node = len(nodes)
+        nodes.append(None)  # preorder: the node's index comes before its children's
+        g_sum = float(np.cumsum(g[rows])[-1]) if rows.size else 0.0
+        h_sum = float(np.cumsum(h[rows])[-1]) if rows.size else 0.0
+        if depth < max_depth:
+            feature, threshold, gain = best_split(order, Xt, g, h, g_sum, h_sum, lam, min_leaf)
             if feature >= 0:
-                goes_left = self.Xt[feature] < threshold
+                goes_left = Xt[feature] < threshold
                 go_left = goes_left[rows]
                 n_left = int(go_left.sum())
                 # filtering each feature's order keeps it sorted: the children need no sort
                 left = goes_left[order]
-                left_child = self.build(rows[go_left], order[left].reshape(-1, n_left), depth + 1)
-                right_child = self.build(
+                left_child = grow(rows[go_left], order[left].reshape(-1, n_left), depth + 1)
+                right_child = grow(
                     rows[~go_left], order[~left].reshape(-1, rows.size - n_left), depth + 1
                 )
-                self.nodes[node] = (feature, threshold, left_child, right_child, 0.0)
+                nodes[node] = (feature, threshold, left_child, right_child, 0.0)
                 return node
         # a leaf whose rows all have saturated margins has no curvature at lambda 0
         value = -g_sum / (h_sum + lam) if h_sum + lam else 0.0
-        self.nodes[node] = (-1, 0.0, -1, -1, value)
-        self.leaf_of_row[rows] = node
+        nodes[node] = (-1, 0.0, -1, -1, value)
+        leaf_of_row[rows] = node
         return node
 
-
-def _grow_tree_numpy(Xt, order, g, h, lam, min_leaf, max_depth):
-    if np.isnan(Xt).any():
-        raise ValueError("Xt must not contain NaN")
-    builder = _TreeBuilder(Xt, g, h, lam, min_leaf, max_depth)
-    builder.build(np.arange(Xt.shape[1], dtype=np.int64), order, 0)
-    return np.array(builder.nodes, dtype=_NODE), builder.leaf_of_row
+    grow(np.arange(Xt.shape[1], dtype=np.int64), order, 0)
+    return np.array(nodes, dtype=_NODE), leaf_of_row
 
 
 # --------------------------------------------------------------------------

@@ -246,14 +246,6 @@ class CleaningReport:
     normalized_fields: list[str] = field(default_factory=list)
     parse_repairs: int = 0
 
-    @property
-    def empty(self) -> bool:
-        return (
-            not self.dropped_fields
-            and not self.normalized_fields
-            and self.parse_repairs == 0
-        )
-
 
 # --------------------------------------------------------------------------
 # field readers

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,35 +49,29 @@ _PAGE = 0x1000
 
 
 @dataclass
-class Heterogeneity:
+class GenSpec:
+    n_malicious: int
+    n_benign: int
+    overlap: float = 0.0
+    seed: int = 1
     n_os_versions: int = 4
     n_exe_names: int = 12
     n_module_pool: int = 40
     n_malware_families: int = 4
 
 
-@dataclass
-class GenSpec:
-    n_malicious: int
-    n_benign: int
-    overlap: float = 0.0
-    seed: int = 1
-    heterogeneity: Heterogeneity = field(default_factory=Heterogeneity)
-
-
 class _Pools:
     """Token pools shared by every log of one corpus."""
 
     def __init__(self, spec: GenSpec):
-        het = spec.heterogeneity
         rng = np.random.default_rng([spec.seed, 0x9001])
-        self.os_names = [f"windows_10_build_{17763 + 100 * i}" for i in range(het.n_os_versions)]
-        self.exe_names = [f"app{i:02d}.exe" for i in range(het.n_exe_names)]
-        self.system_modules = [f"c:\\windows\\system32\\sys{i:02d}.dll" for i in range(het.n_module_pool)]
-        self.benign_modules = [f"c:\\program files\\common\\lib{i:02d}.dll" for i in range(het.n_module_pool)]
+        self.os_names = [f"windows_10_build_{17763 + 100 * i}" for i in range(spec.n_os_versions)]
+        self.exe_names = [f"app{i:02d}.exe" for i in range(spec.n_exe_names)]
+        self.system_modules = [f"c:\\windows\\system32\\sys{i:02d}.dll" for i in range(spec.n_module_pool)]
+        self.benign_modules = [f"c:\\program files\\common\\lib{i:02d}.dll" for i in range(spec.n_module_pool)]
         self.benign_frames = [f"lib{i:02d}.dll+0x{(0x1000 + 0x40 * i):x}" for i in range(30)]
         self.benign_runkeys = [f"hklm\\software\\run\\svc{i:02d}" for i in range(20)]
-        fam = het.n_malware_families
+        fam = spec.n_malware_families
         self.family_modules = [
             [f"c:\\users\\public\\fam{f}mod{i:02d}.dll" for i in range(10)] for f in range(fam)
         ]
@@ -164,8 +158,7 @@ def _make_pe(rng: np.random.Generator, pools: _Pools) -> PeBlock:
 
 def _generate_log(spec: GenSpec, pools: _Pools, index: int, malicious: bool) -> CanonicalLog:
     rng = np.random.default_rng([spec.seed, index])
-    het = spec.heterogeneity
-    family = int(rng.integers(0, het.n_malware_families))
+    family = int(rng.integers(0, spec.n_malware_families))
     overlap = spec.overlap
 
     exe_name = pools.exe_names[int(rng.integers(0, len(pools.exe_names)))]
@@ -289,8 +282,7 @@ def generate_corpus(spec: GenSpec) -> list[CanonicalLog]:
         raise InvalidSpec("corpus needs a non-negative, non-zero log count")
     if not 0.0 <= spec.overlap <= 1.0:
         raise InvalidSpec(f"overlap must be in [0, 1], got {spec.overlap}")
-    het = spec.heterogeneity
-    if min(het.n_os_versions, het.n_exe_names, het.n_module_pool, het.n_malware_families) < 1:
+    if min(spec.n_os_versions, spec.n_exe_names, spec.n_module_pool, spec.n_malware_families) < 1:
         raise InvalidSpec("heterogeneity pool sizes must be >= 1")
 
     pools = _Pools(spec)

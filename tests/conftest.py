@@ -25,7 +25,7 @@ def small_grouped(small_corpus):
 @pytest.fixture(scope="session")
 def small_embeddings(small_grouped):
     hyper = Hyperparams(epochs=3, seed=SMALL_SEED)
-    vocab = build_vocab(small_grouped, min_count=hyper.min_count)
+    vocab = build_vocab(small_grouped, min_count=2)
     return train_embeddings(small_grouped, vocab, hyper)
 
 

@@ -9,7 +9,6 @@ import pytest
 from memlog.agent import (
     Agent,
     AgentConfig,
-    RetryPolicy,
     resolve_server,
 )
 from memlog.errors import WatchDirMissing
@@ -73,7 +72,8 @@ def make_agent(watch_dir, url, script_stub=None, max_attempts=3, drain=True):
             watch_dir=str(watch_dir),
             server_url=url,
             poll_interval_ms=10,
-            retry=RetryPolicy(max_attempts=max_attempts, backoff_base_ms=1),
+            max_attempts=max_attempts,
+            backoff_base_ms=1,
             drain=drain,
         )
     )

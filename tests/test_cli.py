@@ -667,12 +667,13 @@ class TestConfigFile:
             "watch_dir": str(tmp_path),
             "server_url": "http://127.0.0.1:9",
             "poll_interval_ms": 25,
-            "retry": {"max_attempts": 7, "backoff_base_ms": 0},
+            "max_attempts": 7,
+            "backoff_base_ms": 0,
             "drain": False,
         }
         flagged = agent_config("--server", "http://127.0.0.1:10", "--max-attempts", "2")
         assert flagged["server_url"] == "http://127.0.0.1:10"
-        assert flagged["retry"] == {"max_attempts": 2, "backoff_base_ms": 0}
+        assert (flagged["max_attempts"], flagged["backoff_base_ms"]) == (2, 0)
         assert flagged["poll_interval_ms"] == 25
 
 

@@ -253,7 +253,7 @@ class TestHoldoutSplit:
 
     def test_documented_counts(self):
         labels = self.pool(100, 60)
-        train_idx, test_idx = holdout_split(labels)
+        train_idx, test_idx = holdout_split(labels, SplitSpec())
         test_labels = labels[test_idx]
         assert len(test_idx) == 40
         assert (test_labels == 1).sum() == 20
@@ -266,7 +266,7 @@ class TestHoldoutSplit:
 
     def test_disjoint_and_valid(self):
         labels = self.pool(100, 60)
-        train_idx, test_idx = holdout_split(labels)
+        train_idx, test_idx = holdout_split(labels, SplitSpec())
         assert set(train_idx.tolist()).isdisjoint(test_idx.tolist())
         combined = np.concatenate([train_idx, test_idx])
         assert len(set(combined.tolist())) == len(combined)
@@ -274,7 +274,7 @@ class TestHoldoutSplit:
 
     def test_default_test_size_is_quarter(self):
         labels = self.pool(100, 100)
-        _, test_idx = holdout_split(labels)
+        _, test_idx = holdout_split(labels, SplitSpec())
         assert len(test_idx) == 50  # (200 // 4) rounded down to even
         assert (labels[test_idx] == 1).sum() == 25
 
@@ -289,7 +289,7 @@ class TestHoldoutSplit:
         # 90 malicious / 30 benign remain after the test draw; 0.7 needs
         # more benign than exist, so both sides shrink to hit the fraction.
         labels = self.pool(110, 50)
-        train_idx, test_idx = holdout_split(labels)
+        train_idx, test_idx = holdout_split(labels, SplitSpec())
         train_labels = labels[train_idx]
         assert (labels[test_idx] == 1).sum() == 20
         assert (train_labels == 1).sum() == 70
@@ -306,18 +306,18 @@ class TestHoldoutSplit:
     def test_insufficient_pool(self):
         # the test set takes n // 8 of each class and must leave some of each
         with pytest.raises(InsufficientClassCount):
-            holdout_split(self.pool(2, 20))
+            holdout_split(self.pool(2, 20), SplitSpec())
         with pytest.raises(InsufficientClassCount):
-            holdout_split(self.pool(3, 100))
+            holdout_split(self.pool(3, 100), SplitSpec())
         # below 8 logs the test size, a quarter of the pool rounded to even, is 0
         for malicious, benign in ((3, 3), (4, 3), (0, 0)):
             with pytest.raises(InsufficientClassCount):
-                holdout_split(self.pool(malicious, benign))
+                holdout_split(self.pool(malicious, benign), SplitSpec())
 
     @pytest.mark.parametrize("labels", [[2] * 20 + [0] * 20, [1] * 20 + [0] * 19 + [-1]])
     def test_label_outside_zero_one_rejected(self, labels):
         with pytest.raises(ValueError, match=r"labels in \{0, 1\}"):
-            holdout_split(labels)
+            holdout_split(labels, SplitSpec())
 
     def test_bad_parameters(self):
         labels = self.pool(50, 50)

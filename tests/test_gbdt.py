@@ -347,6 +347,7 @@ class TestPrediction:
     def test_zero_tree_model_predicts_sigmoid_base(self):
         base = math.log(0.3 / 0.7)
         model = GbdtModel(base_score=base, params=GbdtParams(trees=0))
+        assert model.top_feature == -1
         X = np.random.default_rng(77).normal(size=(25, 4))
         margins = predict_margin(model, X)
         assert np.all(margins == base)
@@ -403,6 +404,18 @@ class TestPrediction:
         with pytest.raises(NonFiniteFeature):
             predict(small_classifier, np.zeros(192))
 
+    def test_rejects_rows_narrower_than_its_splits(self, small_classifier):
+        top = small_classifier.top_feature
+        assert top == max(int(tree.nodes["feature"].max()) for tree in small_classifier.trees)
+        with pytest.raises(LengthMismatch, match=f"{top} columns.* at least {top + 1}"):
+            predict(small_classifier, np.zeros((3, top)))
+        with pytest.raises(LengthMismatch):
+            predict_one(small_classifier, np.zeros(top))
+        # every split column is there, so the columns past the top one are never read
+        assert predict_one(small_classifier, np.zeros(top + 1)) == predict_one(
+            small_classifier, np.zeros(192)
+        )
+
 
 # --------------------------------------------------------------------------
 # decision rule
@@ -443,19 +456,19 @@ class TestClassify:
 class TestValidation:
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
-            train_classifier(np.zeros((1, 3)), np.array([1]))
+            train_classifier(np.zeros((1, 3)), np.array([1]), GbdtParams())
 
     def test_single_class(self):
         X = np.random.default_rng(80).normal(size=(20, 3))
         with pytest.raises(SingleClassInput):
-            train_classifier(X, np.zeros(20, dtype=np.int64))
+            train_classifier(X, np.zeros(20, dtype=np.int64), GbdtParams())
         with pytest.raises(SingleClassInput):
-            train_classifier(X, np.ones(20, dtype=np.int64))
+            train_classifier(X, np.ones(20, dtype=np.int64), GbdtParams())
 
     def test_length_mismatch(self):
         X = np.zeros((10, 3))
         with pytest.raises(LengthMismatch):
-            train_classifier(X, np.array([0, 1, 0]))
+            train_classifier(X, np.array([0, 1, 0]), GbdtParams())
 
     def test_zero_hessian_leaf_is_zero_at_lambda_zero(self, tmp_path):
         # Margins saturate on separable rows, so every hessian of a leaf
@@ -477,7 +490,7 @@ class TestValidation:
         X[4, 1] = np.inf
         y = np.tile([0, 1], 5)
         with pytest.raises(NonFiniteFeature):
-            train_classifier(X, y)
+            train_classifier(X, y, GbdtParams())
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from memlog.logmodel import (
     Anonymized,
     Arch,
     CanonicalLog,
+    CleaningReport,
     EmbeddedFile,
     IllegalAccess,
     Injector,
@@ -46,17 +47,17 @@ class TestParseBasics:
         assert log.metadata.exe_path == ""
         assert log.runtime.loaded_modules == []
         assert log.pe is None
-        assert report.empty
+        assert report == CleaningReport()
 
     def test_empty_object_is_valid(self):
         log, report = parse_log(b"{}")
         assert log == CanonicalLog()
-        assert report.empty
+        assert report == CleaningReport()
 
     def test_unknown_fields_ignored(self):
         log, report = parse_log(b'{"zzz":1,"metadata":{"nope":2,"exe_name":"a"}}')
         assert log.metadata.exe_name == "a"
-        assert report.empty
+        assert report == CleaningReport()
 
     def test_label_parsed(self):
         log, _ = parse_log(b'{"label":"malicious"}')
@@ -123,12 +124,12 @@ class TestCleaningRules:
 
     def test_missing_fields_stay_empty_silently(self):
         _, report = parse_log(b'{"metadata":{}}')
-        assert report.empty
+        assert report == CleaningReport()
 
     def test_null_is_explicit_empty(self):
         log, report = parse_log(b'{"metadata":{"referral_url":null}}')
         assert log.metadata.referral_url == ""
-        assert report.empty
+        assert report == CleaningReport()
 
     def test_bom_counts_as_repair(self):
         raw = "﻿{\"metadata\":{\"exe_name\":\"a.exe\"}}".encode("utf-8")
@@ -154,7 +155,7 @@ class TestCleaningRules:
     def test_enum_case_insensitive(self):
         log, report = parse_log(b'{"metadata":{"integrity_level":"HIGH"}}')
         assert log.metadata.integrity_level is IntegrityLevel.HIGH
-        assert report.empty
+        assert report == CleaningReport()
 
     def test_unknown_enum_value_dropped(self):
         log, report = parse_log(b'{"metadata":{"integrity_level":"superuser"}}')
@@ -224,14 +225,14 @@ class TestCleaningRules:
     def test_pe_arch_derived_silently_when_missing(self):
         log, report = parse_log(b'{"pe":{"pe_type":"pe32plus"}}')
         assert log.pe.arch is Arch.X64
-        assert report.empty
+        assert report == CleaningReport()
 
     def test_cleaning_idempotent(self):
         raw = b'{"metadata":{"thread_count":-5,"integrity_level":"bogus"},"pe":{"entropy_bits":12}}'
         log, first = parse_log(raw)
-        assert not first.empty
+        assert first != CleaningReport()
         relog, second = parse_log(serialize_log(log))
-        assert second.empty
+        assert second == CleaningReport()
         assert relog == log
 
 
@@ -240,7 +241,7 @@ class TestSerialization:
         log = CanonicalLog()
         relog, report = parse_log(serialize_log(log))
         assert relog == log
-        assert report.empty
+        assert report == CleaningReport()
 
     def test_key_order_is_sorted(self):
         blob = serialize_log(CanonicalLog())
@@ -318,7 +319,7 @@ class TestSerialization:
         blob = serialize_log(log)
         assert json.loads(blob)["runtime"]["illegal_accesses"] == [{"address": "0x10", "bytes": "cc90"}]
         relog, report = parse_log(blob)
-        assert report.empty
+        assert report == CleaningReport()
         assert relog == log
         assert serialize_log(relog) == blob
 
@@ -327,7 +328,7 @@ class TestSerialization:
         for log in logs:
             blob = serialize_log(log)
             relog, report = parse_log(blob)
-            assert report.empty
+            assert report == CleaningReport()
             assert relog == log
             assert serialize_log(relog) == blob
 
@@ -385,7 +386,7 @@ class TestParseTotality:
         log, _ = parse_log(json.dumps(doc).encode("utf-8"))
         relog, report = parse_log(serialize_log(log))
         assert relog == log
-        assert report.empty
+        assert report == CleaningReport()
 
 
 # Raw values a field may hold, besides its valid values: wrong types, edge

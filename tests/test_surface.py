@@ -5,8 +5,9 @@ A public name is a top-level ``def`` or ``class`` in ``src/memlog``, or a
 ``def`` in the body of such a class, whose name does not start with an
 underscore.  It has a caller when code in ``src/memlog``, ``perfbench`` or
 ``benchmarks`` refers to it: an AST ``Name``, ``Attribute`` or import alias
-outside the body of a definition of that name.  Docstrings and comments do
-not count.  A name the tests alone use is dead code, unless it is listed
+outside the body of a definition of that name.  Attributes read off a
+module the file imports from outside memlog (``np.empty``, ``os.path.join``)
+and docstrings and comments do not count.  A name the tests alone use is dead code, unless it is listed
 below with a reason.
 
 A setting is a defaulted parameter of a public function or method (a class's
@@ -57,14 +58,33 @@ def public_names():
         yield from public_definitions(ast.parse(path.read_text(encoding="utf-8")).body)
 
 
-def references(node, enclosing=frozenset()):
-    """Names that ``node`` refers to, except inside a definition of the same name."""
+def outside_modules(tree: ast.Module) -> set[str]:
+    """Names that ``import`` statements bind to modules outside memlog: ``np``, ``os``, …"""
+    return {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.partition(".")[0] != "memlog"
+    }
+
+
+def read_off(node: ast.expr, modules: set[str]) -> bool:
+    """Whether ``node`` is one of ``modules`` or an attribute chain starting at one."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in modules
+
+
+def references(node, outside: set[str], enclosing=frozenset()):
+    """Names that ``node`` refers to, except inside a definition of the same name
+    and attributes read off the modules named in ``outside``."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         enclosing = enclosing | {node.name}
     if isinstance(node, ast.Name):
         name = node.id
     elif isinstance(node, ast.Attribute):
-        name = node.attr
+        name = None if read_off(node.value, outside) else node.attr
     elif isinstance(node, ast.alias):
         name = node.name.rpartition(".")[2]
     else:
@@ -72,16 +92,25 @@ def references(node, enclosing=frozenset()):
     if name is not None and name not in enclosing:
         yield name
     for child in ast.iter_child_nodes(node):
-        yield from references(child, enclosing)
+        yield from references(child, outside, enclosing)
 
 
 def reference_counts() -> Counter:
-    return Counter(
-        name
+    trees = (
+        ast.parse(path.read_text(encoding="utf-8"))
         for directory in CALLER_DIRS
         for path in directory.glob("*.py")
-        for name in references(ast.parse(path.read_text(encoding="utf-8")))
     )
+    return Counter(name for tree in trees for name in references(tree, outside_modules(tree)))
+
+
+def test_attributes_of_outside_modules_are_not_references():
+    tree = ast.parse(
+        "import numpy as np\nimport os.path\nfrom . import kernels\n"
+        "np.empty(1)\nos.path.join('a')\nkernels.count_pairs(offsets, window)\n"
+    )
+    names = set(references(tree, outside_modules(tree)))
+    assert {"kernels", "count_pairs"} <= names and not {"empty", "join"} & names
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():

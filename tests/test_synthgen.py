@@ -6,7 +6,6 @@ from memlog.errors import InvalidSpec, UnlabeledLog
 from memlog.logmodel import Label, parse_log, serialize_log
 from memlog.synthgen import (
     GenSpec,
-    Heterogeneity,
     generate_corpus,
     read_corpus,
     write_corpus,
@@ -72,12 +71,10 @@ class TestSpecValidation:
             generate_corpus(GenSpec(n_malicious=-1, n_benign=5))
 
     def test_degenerate_pools(self):
-        het = Heterogeneity(n_module_pool=0)
         with pytest.raises(InvalidSpec):
-            generate_corpus(GenSpec(n_malicious=2, n_benign=2, heterogeneity=het))
-        het = Heterogeneity(n_malware_families=0)
+            generate_corpus(GenSpec(n_malicious=2, n_benign=2, n_module_pool=0))
         with pytest.raises(InvalidSpec):
-            generate_corpus(GenSpec(n_malicious=2, n_benign=2, heterogeneity=het))
+            generate_corpus(GenSpec(n_malicious=2, n_benign=2, n_malware_families=0))
 
 
 class TestLogQuality:
@@ -98,12 +95,10 @@ class TestLogQuality:
 
     def test_heterogeneity_widens_vocabulary(self):
         narrow = generate_corpus(
-            GenSpec(n_malicious=30, n_benign=30, seed=7,
-                    heterogeneity=Heterogeneity(n_exe_names=1, n_os_versions=1))
+            GenSpec(n_malicious=30, n_benign=30, seed=7, n_exe_names=1, n_os_versions=1)
         )
         wide = generate_corpus(
-            GenSpec(n_malicious=30, n_benign=30, seed=7,
-                    heterogeneity=Heterogeneity(n_exe_names=12, n_os_versions=4))
+            GenSpec(n_malicious=30, n_benign=30, seed=7, n_exe_names=12, n_os_versions=4)
         )
         narrow_names = {log.metadata.exe_name for log in narrow}
         wide_names = {log.metadata.exe_name for log in wide}
