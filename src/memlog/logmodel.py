@@ -14,8 +14,8 @@ UTF-8).  Parsing canonical output is always clean, so
 The dataclasses below are the schema: a field is named only there, and its
 type decides how it is read.  At import, ``_SCHEMA`` turns them into one
 table per block class, (attribute, JSON key, reader, reader argument) per
-field, and each table into one generated block reader that does the
-parsing and cleaning.  Writing needs no second table:
+field, and each table into a generated reader, of one block or of a list
+of blocks, that does the parsing and cleaning.  Writing needs no second table:
 ``serialize_log`` is ``json.dumps`` of the log itself, whose hook writes a
 block as its JSON keys from ``_SCHEMA``, an Enum as its value and bytes as
 hex.
@@ -323,7 +323,7 @@ def _read_enum(value, prefix: str, key: str, report: CleaningReport, cls: type[E
 def _hex_scalar(value) -> Optional[str]:
     """Hex scalar ``value`` in canonical form 0x-lower, "" for "", else None."""
     if isinstance(value, str) and (value == "" or _HEX_RE.fullmatch(value)):
-        return "0x%x" % int(value, 16) if value else ""
+        return hex(int(value, 16)) if value else ""
     return None
 
 
@@ -366,12 +366,11 @@ def _read_str_list(value, prefix: str, key: str, report: CleaningReport, _arg) -
     if not isinstance(value, list):
         report.dropped_fields.append(prefix + key)
         return []
-    out = []
-    for i, item in enumerate(value):
-        if isinstance(item, str):
-            out.append(item)
-        else:
-            report.dropped_fields.append(f"{prefix}{key}[{i}]")
+    out = [item for item in value if isinstance(item, str)]
+    if len(out) < len(value):
+        report.dropped_fields.extend(
+            f"{prefix}{key}[{i}]" for i, item in enumerate(value) if not isinstance(item, str)
+        )
     return out
 
 
@@ -381,14 +380,7 @@ def _read_object_list(value, prefix: str, key: str, report: CleaningReport, cls:
     if not isinstance(value, list):
         report.dropped_fields.append(prefix + key)
         return []
-    read = _READERS[cls]
-    out = []
-    for i, item in enumerate(value):
-        if isinstance(item, dict):
-            out.append(read(item, f"{prefix}{key}[{i}].", report))
-        else:
-            report.dropped_fields.append(f"{prefix}{key}[{i}]")
-    return out
+    return _LIST_READERS[cls](value, f"{prefix}{key}[", report)
 
 
 def _read_dict(value, prefix: str, key: str, report: CleaningReport) -> dict:
@@ -484,40 +476,78 @@ def _build_schema(cls: type, schema: dict) -> dict:
 _SCHEMA: dict[type, tuple[tuple[str, str, Callable, Any], ...]] = _build_schema(CanonicalLog, {})
 
 
-#: The clean case of a field, read inline by a generated block reader: the
+#: The clean case of a field, read inline by a generated reader: the
 #: expression is the field value when the condition after ``if`` holds for the
-#: raw value ``v``.  Any other value goes to the field's reader.
+#: raw value ``v``.  Any other value goes to the field's reader.  The hex rule
+#: also hands it a value ``int(v, 16)`` refuses: a string of ASCII letters and
+#: digits is a hex scalar exactly when ``int(v, 16)`` takes it.
 _INLINE = {
     _read_str: "v if type(v) is str",
     _read_int: "v if type(v) is int and v >= 0",
-    _read_hex: '"0x%x" % int(v, 16) if type(v) is str and _hex(v)',
+    _read_hex: "hex(int(v, 16)) if type(v) is str and v.isalnum() and v.isascii()",
 }
 
 
-def _generate_reader(cls: type) -> Callable[[dict, str, CleaningReport], Any]:
+def _generate_reader(cls: type, in_list: bool) -> Callable:
     """``read(obj, prefix, report)``: build ``cls`` from the raw dict ``obj``.
 
-    The source is generated from ``_SCHEMA[cls]``, the way ``dataclasses``
-    generates ``__init__``: one line per field, in field order, so values and
-    report entries come out exactly as from calling each field's reader.
+    With ``in_list`` it is ``read(items, path, report)`` instead: build one
+    ``cls`` from each dict of the raw list ``items`` at ``path``, and drop
+    anything else.  The source is generated from ``_SCHEMA[cls]``, the way
+    ``dataclasses`` generates ``__init__``: the lines of one field after
+    another, in field order, so values and report entries come out exactly as
+    from calling each field's reader.  A list item's prefix is formatted only for a field that
+    needs its reader.
     """
-    namespace: dict[str, Any] = {"cls": cls, "_hex": _HEX_RE.fullmatch}
-    lines = ["def read(obj, prefix, report):", "    get = obj.get"]
+    namespace: dict[str, Any] = {"cls": cls}
+    prefix = 'f"{path}{i}]."' if in_list else "prefix"
+    body = ["get = obj.get"]
     for i, (_, key, read, arg) in enumerate(_SCHEMA[cls]):
         namespace[f"read{i}"], namespace[f"arg{i}"] = read, arg
-        call = f"read{i}(v, prefix, {key!r}, report, arg{i})"
+        call = f"read{i}(v, {prefix}, {key!r}, report, arg{i})"
         inline = _INLINE.get(read)
-        lines.append(f"    v = get({key!r})")
-        lines.append(f"    f{i} = {inline} else {call}" if inline else f"    f{i} = {call}")
-    lines.append(f"    return cls({', '.join(f'f{i}' for i in range(len(_SCHEMA[cls])))})")
+        body.append(f"v = get({key!r})")
+        if inline is None:
+            body.append(f"f{i} = {call}")
+        elif read is _read_hex:
+            body += ["try:", f"    f{i} = {inline} else {call}",
+                     "except ValueError:", f"    f{i} = {call}"]
+        else:
+            body.append(f"f{i} = {inline} else {call}")
+    block = f"cls({', '.join(f'f{i}' for i in range(len(_SCHEMA[cls])))})"
+    if in_list:
+        lines = [
+            "def read(items, path, report):",
+            "    out = []",
+            "    for i, obj in enumerate(items):",
+            "        if not isinstance(obj, dict):",
+            '            report.dropped_fields.append(f"{path}{i}]")',
+            "            continue",
+            *("        " + line for line in body),
+            f"        out.append({block})",
+            "    return out",
+        ]
+    else:
+        lines = ["def read(obj, prefix, report):", *("    " + line for line in body), f"    return {block}"]
     exec("\n".join(lines), namespace)
     return namespace["read"]
 
 
-#: Every block class -> its generated reader.
-_READERS: dict[type, Callable[[dict, str, CleaningReport], Any]] = {
-    cls: _generate_reader(cls) for cls in _SCHEMA
-}
+def _generate_readers() -> tuple[dict, dict]:
+    """The readers of the block classes read one at a time, and of those read in lists."""
+    uses = {(CanonicalLog, False)} | {
+        (arg, read is _read_object_list)
+        for entries in _SCHEMA.values() for _, _, read, arg in entries if is_dataclass(arg)
+    }
+    return (
+        {cls: _generate_reader(cls, in_list=False) for cls, in_list in uses if not in_list},
+        {cls: _generate_reader(cls, in_list=True) for cls, in_list in uses if in_list},
+    )
+
+
+#: Block class -> its generated reader, for a block read on its own
+#: (``_READERS``) or for a list of blocks (``_LIST_READERS``).
+_READERS, _LIST_READERS = _generate_readers()
 
 
 #: pe_type implies arch: PE32 images are x86, PE32+ images are x64.
@@ -537,10 +567,14 @@ def _imply_arch(pe: Optional[PeBlock], report: CleaningReport) -> None:
 # public API
 
 
+#: One decoder for every log, as ``json.loads`` keeps one for its defaults.
+_DECODER = json.JSONDecoder(parse_constant=lambda _: _BAD_CONSTANT)
+
+
 def _loads(text: str):
     """``json.loads``; failures other than a syntax error raise :class:`NotJson`."""
     try:
-        return json.loads(text, parse_constant=lambda _: _BAD_CONSTANT)
+        return _DECODER.decode(text)
     except json.JSONDecodeError:
         raise
     except RecursionError:

@@ -21,7 +21,7 @@ import logging
 import signal
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
@@ -48,7 +48,7 @@ class DetectionResult:
     latency_ms: float
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "verdict": self.verdict.value}
+        return {**vars(self), "verdict": self.verdict.value}
 
 
 class DetectorService:
@@ -177,10 +177,10 @@ class _Handler(BaseHTTPRequestHandler):
             if self.path != "/v1/detect":
                 self._reply(404, {"error": "NOT_FOUND"})
                 return
-            try:
-                length = int(self.headers.get("Content-Length", "0"))
-            except ValueError:
-                length = -1
+            # RFC 9110 8.6: ASCII digits once the spaces and tabs around them
+            # are stripped; int() would also take a sign, "_" or other spaces
+            size = self.headers.get("Content-Length", "0").strip(" \t")
+            length = int(size) if size.isascii() and size.isdigit() else -1
             if not 0 <= length <= _MAX_REQUEST_BYTES:
                 self._reply(400, {"error": "LOG_PARSE", "detail": "bad request size"})
                 return

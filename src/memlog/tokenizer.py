@@ -4,8 +4,9 @@
 is already ``0x``-lowercase or empty.  Each log field feeds exactly one
 group, so the groups partition the token stream.  Scalar values become
 single tokens; the two exceptions are byte strings, which split into
-4-byte hex words, and command lines, which split on whitespace.  Three
-value rules keep the vocabulary dense:
+4-byte hex words (all of them from one ``bytes.hex`` call), and command
+lines, which split on whitespace.  Three value rules keep the vocabulary
+dense:
 
 - text: lowercased, with each run of whitespace inside it turned into
   ``_`` and none at either end;
@@ -71,7 +72,7 @@ def _text(raw: str) -> str:
 
 
 def _basename(path: str) -> str:
-    return _text(path.replace("\\", "/").rstrip("/").rpartition("/")[2])
+    return "_".join(path.replace("\\", "/").rstrip("/").rpartition("/")[2].lower().split())
 
 
 def _page(address: str) -> str:
@@ -79,9 +80,12 @@ def _page(address: str) -> str:
 
 
 def hex_words(data: bytes) -> list[str]:
-    """Split a byte string into 4-byte hex words; a short tail stays shorter."""
-    text = data.hex()
-    return [text[i:i + 8] for i in range(0, len(text), 8)]
+    """Split a byte string into 4-byte hex words; a short tail stays shorter.
+
+    One ``bytes.hex`` call spaces the words: a negative group size counts
+    from the left, so only the last word can be short.
+    """
+    return data.hex(" ", -4).split()
 
 
 def _pair(prefix: str, value: str) -> Optional[str]:
@@ -124,7 +128,7 @@ def tokenize(log: CanonicalLog) -> GroupedTokens:
     md = log.metadata
     rt = log.runtime
 
-    _extend(out.stack, *map(_text, rt.stack_trace))
+    out.stack.extend(filter(None, map(_text, rt.stack_trace)))
     out.stack.extend(hex_words(rt.stack_snapshot))
 
     _extend(
@@ -138,11 +142,13 @@ def tokenize(log: CanonicalLog) -> GroupedTokens:
     for access in rt.illegal_accesses:
         out.opcodes.extend(hex_words(access.data))
 
-    _extend(out.modules, *(_basename(module.path) for module in rt.loaded_modules))
+    out.modules.extend(filter(None, [_basename(module.path) for module in rt.loaded_modules]))
 
+    out.resources.extend(filter(None, [
+        _basename(resource.path) for resource in rt.loaded_resources + rt.opened_resources
+    ]))
     _extend(
         out.resources,
-        *(_basename(resource.path) for resource in rt.loaded_resources + rt.opened_resources),
         *(_text(embedded.magic_type) for embedded in rt.embedded_files),
         *map(_text, rt.found_urls + rt.found_ips + rt.scheduled_tasks + rt.hklm_run_entries),
     )

@@ -390,8 +390,10 @@ class TestParseTotality:
 
 
 # Raw values a field may hold, besides its valid values: wrong types, edge
-# numbers, and hex-like strings with spaces, prefixes or a trailing newline.
-_ODD_TEXT = ["", "abc", "0a 0b", " 0x1", "0x1 ", "0X10", "0x10\n", "ab\n", "ab\ncd", "\n", "0x", "HIGH"]
+# numbers, hex-like strings with spaces, prefixes or a trailing newline, and
+# strings int(v, 16) refuses or takes although they are not hex scalars.
+_ODD_TEXT = ["", "abc", "0a 0b", " 0x1", "0x1 ", "0X10", "0x10\n", "ab\n", "ab\ncd", "\n", "0x", "HIGH",
+             "0xg1", "x1", "+1", "1_0", "\u0661\u0662"]
 _ODD = st.one_of(
     st.none(),
     st.booleans(),
@@ -450,12 +452,39 @@ def _generic_reader(cls):
     return read_block
 
 
+def _generic_list_reader(cls):
+    """Reference list reader: ``_generic_reader`` of each dict item; any other item is dropped."""
+    def read_list(items, path, report):
+        out = []
+        for i, item in enumerate(items):
+            if isinstance(item, dict):
+                out.append(_generic_reader(cls)(item, f"{path}{i}].", report))
+            else:
+                report.dropped_fields.append(f"{path}{i}]")
+        return out
+    return read_list
+
+
+def _parsed_by_generic_readers(raw):
+    generic = {cls: _generic_reader(cls) for cls in _SCHEMA}
+    generic_lists = {cls: _generic_list_reader(cls) for cls in _SCHEMA}
+    with mock.patch.dict(logmodel._READERS, generic), \
+            mock.patch.dict(logmodel._LIST_READERS, generic_lists):
+        return repr(parse_log(raw))
+
+
 class TestGeneratedReaders:
     @given(_schema_block(CanonicalLog))
     @settings(max_examples=300, deadline=None)
     def test_same_as_calling_each_field_reader(self, doc):
         raw = json.dumps(doc).encode("utf-8")
-        generic = {cls: _generic_reader(cls) for cls in _SCHEMA}
-        with mock.patch.dict(logmodel._READERS, generic):
-            expected = repr(parse_log(raw))
-        assert repr(parse_log(raw)) == expected
+        assert repr(parse_log(raw)) == _parsed_by_generic_readers(raw)
+
+    @pytest.mark.parametrize("value", _ODD_TEXT + ["0x1F", "0XaB", "ff", "00x1", "0b1", "0x0x1"])
+    def test_hex_fields_same_as_their_reader(self, value):
+        # the inline hex rule hands int()'s refusals to _read_hex
+        doc = {"runtime": {"base_address": value, "eflags": value,
+                           "loaded_modules": [{"base": value, "end": value}, value],
+                           "illegal_accesses": [{"address": value}]}}
+        raw = json.dumps(doc).encode("utf-8")
+        assert repr(parse_log(raw)) == _parsed_by_generic_readers(raw)

@@ -7,6 +7,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPResponse
 
 import numpy as np
 import pytest
@@ -63,6 +64,16 @@ def http(method, url, body=None, headers=None):
             return response.status, dict(response.headers), json.loads(response.read())
     except urllib.error.HTTPError as exc:
         return exc.code, dict(exc.headers), json.loads(exc.read())
+
+
+def raw_post(srv, content_length: bytes, body: bytes):
+    """POST ``body`` to /v1/detect with a verbatim Content-Length; (status, parsed_json)."""
+    with socket.create_connection(srv.server_address[:2], timeout=10) as sock:
+        sock.sendall(b"POST /v1/detect HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+                     b"Content-Length: " + content_length + b"\r\n\r\n" + body)
+        response = HTTPResponse(sock)
+        response.begin()
+        return response.status, json.loads(response.read())
 
 
 class TestDetect:
@@ -227,6 +238,24 @@ class TestHttp:
         status, _, payload = http("POST", url_of(server, "/v1/detect"), body=big)
         assert status == 400
         assert payload["error"] == "LOG_PARSE"
+
+    # a body each of these sizes would read as, were the header taken by int()
+    @pytest.mark.parametrize("size, body", [
+        (b"+2", b"{}"),
+        (b"1_0", b'{"a": 123}'),
+        (b"\x0b2", b"{}"),
+        (b"2\x0c", b"{}"),
+        (b"\xa02", b"{}"),
+    ], ids=["sign", "underscore", "vertical-tab", "form-feed", "no-break-space"])
+    def test_content_length_other_than_digits_is_400(self, server, size, body):
+        assert raw_post(server, size, body) == (
+            400, {"error": "LOG_PARSE", "detail": "bad request size"}
+        )
+
+    def test_content_length_spaces_around_digits_are_not_its_value(self, server):
+        # RFC 9110 5.5: a field value excludes the line's leading and trailing SP/HTAB
+        status, payload = raw_post(server, b"2 \t", b"{}")
+        assert status == 200 and payload["verdict"] in ("malicious", "benign")
 
     def test_unknown_paths_are_404(self, server):
         status, _, payload = http("GET", url_of(server, "/nope"))

@@ -1,7 +1,9 @@
 """Grouped tokenization: value rules, group routing, stability."""
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import re
 
 from hypothesis import given, settings
@@ -270,3 +272,83 @@ class TestGroupRouting:
         logs = generate_corpus(GenSpec(n_malicious=3, n_benign=3, overlap=0.0, seed=4))
         for log in logs:
             assert tokenize(log) == tokenize(log)
+
+
+def ship_sized_doc() -> dict:
+    """A log document the size of a shipped one (about 200 KB), built from a fixed seed."""
+    rng = random.Random(20)
+    seps = ["\\", "/", "\\\\", "//"]
+
+    def path(*parts):
+        joined = parts[0]
+        for part in parts[1:]:
+            joined += rng.choice(seps) + part
+        return joined + rng.choice(["", "", "\\", "/", "\\/"])
+
+    def name(stem):
+        n = rng.randrange(1000)
+        return rng.choice([f"{stem}{n}.dll", f"{stem.upper()}{n}.DLL", f"My {stem}  {n}.Dll",
+                           f" {stem}\t{n}.dll "])
+
+    modules = []
+    for i in range(520):
+        base = rng.randrange(0x10000000, 0x7FFF0000, 0x1000)
+        modules.append({
+            "base": rng.choice(["0x%x", "0X%X", "%x"]) % base,
+            "end": hex(base + rng.randrange(1, 256) * 0x1000),
+            "size": rng.randrange(1, 1 << 20),
+            "path": path("C:", "Windows", rng.choice(["System32", "WinSxS", "Program Files"]),
+                         name("mod")),
+        })
+    resources = [
+        {"path": path("c:", "Users", "Work Dir", f"Item{rng.randrange(20000)}.DAT"),
+         "size": rng.randrange(100, 10**6), "hash": rng.randbytes(16).hex()}
+        for _ in range(260)
+    ]
+    frames = [rng.choice([f"mod{rng.randrange(900)}.dll+0x{rng.randrange(1 << 20):x}",
+                          f"NTDLL.DLL+0X{rng.randrange(1 << 20):X}",
+                          f"Kernel Base  Frame {i}", ""])
+              for i in range(760)]
+    return {
+        "metadata": {"exe_name": "C:\\Program Files\\App Dir\\Tool.EXE", "exe_hash": "AbC",
+                     "os_name": "Windows 10", "integrity_level": "HIGH", "exe_arch": "x64"},
+        "runtime": {
+            "command_line": "Tool.EXE  /Quiet\t--Mode=Fast",
+            "registers": {r: "0x%X" % rng.randrange(1 << 48) for r in ("EAX", "ebx", "Rsp")},
+            "eflags": "0x246",
+            "register_snippets": {"EIP": rng.randbytes(23).hex(), "esp": rng.randbytes(16).hex()},
+            "illegal_accesses": [{"address": "0x1000", "bytes": rng.randbytes(9).hex()}],
+            "loaded_modules": modules,
+            "loaded_resources": resources[:130],
+            "opened_resources": resources[130:],
+            "stack_trace": frames,
+            "stack_snapshot": rng.randbytes(50_001).hex(),
+            "embedded_files": [{"magic_type": "PK Zip"}],
+            "found_urls": ["HTTPS://X.Example/Api"],
+            "found_ips": ["10.0.0.1"],
+            "scheduled_tasks": ["\\Tasks\\T1"],
+            "hklm_run_entries": ["HKLM Run Svc"],
+            "parent_process": {"path": "C:\\Windows\\Explorer.EXE", "hash": "Ff00",
+                               "integrity_level": "medium"},
+        },
+        "pe": {"pe_type": "pe32plus", "entry_point_rva": 74565, "pdb_path": "D:\\Build\\Tool.PDB",
+               "export_module_name": "Tool Lib", "entropy_bits": 6.5},
+    }
+
+
+class TestShipSizedLog:
+    # sha256 of the token lists of ship_sized_doc(), as parse_log and tokenize
+    # produced them before either was tuned for large logs
+    DIGEST = "3ee3453d8a1d956e4e2c7a8b68a69add9d285c695e5f3463500bcbb5d4a88c36"
+
+    def test_tokens_are_pinned(self):
+        raw = json.dumps(ship_sized_doc()).encode()
+        assert len(raw) > 150_000
+        log, _ = parse_log(raw)
+        tokens = tokenize(log)
+        assert len(log.runtime.loaded_modules) >= 500
+        assert len(log.runtime.stack_trace) >= 700
+        assert len(log.runtime.stack_snapshot) % 4 != 0
+        assert len(log.runtime.register_snippets) == 2
+        lists = [list(group) for group in tokens]
+        assert hashlib.sha256(repr(lists).encode()).hexdigest() == self.DIGEST
