@@ -12,6 +12,8 @@ stable and documented in the README:
 
 Heavy numeric imports happen inside the subcommands that need them; the
 ``agent`` subcommand stays stdlib-only to honor its memory budget.
+OpenBLAS is limited to one thread unless ``OPENBLAS_NUM_THREADS`` is
+already set.
 """
 from __future__ import annotations
 
@@ -22,6 +24,11 @@ import os
 import sys
 import traceback
 import urllib.parse
+
+# memlog calls no BLAS routine, but importing numpy starts OpenBLAS's worker
+# threads, whose idle spin takes the core that train's negative draws use;
+# set before any subcommand imports numpy, and a caller's own value wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .config import parse_config

@@ -12,6 +12,11 @@ samples are drawn from the unigram distribution raised to 0.75.
 
 All randomness (matrix init, negative draws) comes from one seeded
 generator, so identical corpus and seed reproduce the model bit for bit.
+The negatives are drawn one epoch ahead: a helper thread draws epoch
+e + 1's while the compiled epoch e runs, which releases the GIL.  The
+matrix init is drawn first and each epoch's negatives after it, one
+epoch at a time, so the stream is consumed in the same order as a
+sequential loop and every drawn integer is the same.
 """
 from __future__ import annotations
 
@@ -165,25 +170,38 @@ def train_embeddings(
     vout = np.zeros((len(vocab), EMBEDDING_DIM), dtype=np.float32)
 
     pairs_per_epoch = kernels.count_pairs(offsets, hyperparams.window)
-    if pairs_per_epoch > 0:
+    if pairs_per_epoch > 0 and hyperparams.epochs > 0:
+        # imported here: every process that scores logs imports this module
+        from concurrent.futures import ThreadPoolExecutor
+
         cdf = _negative_sampling_cdf(vocab)
+        shape = (pairs_per_epoch, hyperparams.negatives)
         total_pairs = pairs_per_epoch * hyperparams.epochs
         lr_floor = hyperparams.initial_lr * LR_FLOOR_FRACTION
-        for epoch in range(hyperparams.epochs):
-            draws = rng.random((pairs_per_epoch, hyperparams.negatives))
-            negatives = kernels.draw_negatives(cdf, draws)
-            kernels.sgns_epoch(
-                ids,
-                offsets,
-                vin,
-                vout,
-                negatives,
-                hyperparams.window,
-                hyperparams.initial_lr,
-                lr_floor,
-                epoch * pairs_per_epoch,
-                total_pairs,
-            )
+
+        def draw() -> np.ndarray:
+            return kernels.draw_negatives(cdf, rng.random(shape))
+
+        # one helper draws epoch e + 1's negatives while epoch e runs; it alone
+        # uses rng now, one draw at a time, so the stream keeps its order
+        with ThreadPoolExecutor(1) as helper:
+            ahead = helper.submit(draw)
+            for epoch in range(hyperparams.epochs):
+                negatives = ahead.result()
+                if epoch + 1 < hyperparams.epochs:
+                    ahead = helper.submit(draw)
+                kernels.sgns_epoch(
+                    ids,
+                    offsets,
+                    vin,
+                    vout,
+                    negatives,
+                    hyperparams.window,
+                    hyperparams.initial_lr,
+                    lr_floor,
+                    epoch * pairs_per_epoch,
+                    total_pairs,
+                )
 
     return EmbeddingModel(vocab, vin, vout)
 

@@ -151,11 +151,13 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:
         logger.debug("%s - %s", self.address_string(), format % args)
 
-    def _reply(self, status: int, payload: dict) -> None:
+    def _reply(self, status: int, payload: dict, close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:  # the base class closes the connection after this header
+            self.send_header("Connection", "close")
         request_id = self.headers.get("X-Request-Id", "")
         if request_id:
             self.send_header("X-Request-Id", request_id)
@@ -174,12 +176,23 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:
         try:
+            # RFC 9112 6.1 and 6.3: with a transfer coding (none is implemented)
+            # or several Content-Length lines, where the body ends is unknown,
+            # and so is where the next request starts: answer and close
+            if self.headers.get_all("Transfer-Encoding"):
+                detail = "transfer codings are not supported"
+                self._reply(501, {"error": "NOT_IMPLEMENTED", "detail": detail}, close=True)
+                return
+            sizes = self.headers.get_all("Content-Length") or ["0"]
+            if len(sizes) > 1:
+                self._reply(400, {"error": "LOG_PARSE", "detail": "bad request size"}, close=True)
+                return
             if self.path != "/v1/detect":
                 self._reply(404, {"error": "NOT_FOUND"})
                 return
             # RFC 9110 8.6: ASCII digits once the spaces and tabs around them
             # are stripped; int() would also take a sign, "_" or other spaces
-            size = self.headers.get("Content-Length", "0").strip(" \t")
+            size = sizes[0].strip(" \t")
             length = int(size) if size.isascii() and size.isdigit() else -1
             if not 0 <= length <= _MAX_REQUEST_BYTES:
                 self._reply(400, {"error": "LOG_PARSE", "detail": "bad request size"})

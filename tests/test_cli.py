@@ -66,6 +66,19 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
+# Imports the CLI module, then numpy, and reports what OpenBLAS was told and
+# how many threads the process has once numpy is loaded.
+OPENBLAS_CODE = """
+import json, os, sys
+import memlog.cli
+numpy_by_cli = "numpy" in sys.modules
+import numpy
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps({"value": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "numpy_by_cli": numpy_by_cli, "tasks": tasks}))
+"""
+
+
 def damaged_pair(workspace, tmp_path, damage):
     """The workspace models with one file damaged so that load_detector must refuse them."""
     from memlog.embedding import EmbeddingModel, load_embeddings, save_embeddings
@@ -133,6 +146,29 @@ def workspace(tmp_path_factory):
         "model": model,
         "train_report": json.loads(train.stdout),
     }
+
+
+class TestOpenBlasDefault:
+    def imported(self, **preset):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env.update(preset)
+        result = subprocess.run([sys.executable, "-c", OPENBLAS_CODE],
+                                capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout)
+
+    def test_openblas_gets_one_thread_and_no_worker(self):
+        report = self.imported()
+        assert report["value"] == "1"
+        assert not report["numpy_by_cli"]  # the agent stays stdlib-only
+        if report["tasks"] is None:
+            pytest.skip("no /proc/self/task to count threads in")
+        assert report["tasks"] == 1
+
+    def test_a_preset_value_is_kept(self):
+        report = self.imported(OPENBLAS_NUM_THREADS="2")
+        assert report["value"] == "2"
+        assert not report["numpy_by_cli"]
 
 
 class TestParsing:

@@ -1,11 +1,15 @@
 """Skip-gram training: gradients, determinism, persistence."""
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+from memlog import kernels
 from memlog.embedding import (
     EMBEDDING_DIM,
+    LR_FLOOR_FRACTION,
     EmbeddingModel,
     Hyperparams,
     Vocabulary,
@@ -16,6 +20,8 @@ from memlog.embedding import (
     sgns_pair_loss,
     sgns_pair_step,
     train_embeddings,
+    _negative_sampling_cdf,
+    _sentences,
 )
 from memlog.errors import (
     BadMagic,
@@ -137,6 +143,112 @@ class TestTraining:
         vocab = build_vocab(corpus, min_count=1)
         with pytest.raises(ValueError):
             train_embeddings(corpus, vocab, Hyperparams(window=0))
+
+
+def random_corpus(seed: int, n_logs: int = 40) -> list[GroupedTokens]:
+    """Sentences of 2-12 tokens over a 30-token alphabet, skewed toward low ids."""
+    rng = np.random.default_rng(seed)
+    return [
+        grouped(*(f"t{int(t)}" for t in rng.zipf(1.5, size=int(rng.integers(2, 13))) % 30))
+        for _ in range(n_logs)
+    ]
+
+
+def sequential_oracle(corpus, vocab, hyper, backend):
+    """``train_embeddings`` as a plain loop on one backend: each epoch's
+    negatives are drawn, then that epoch runs, before the next draw."""
+    sgns_epoch = getattr(kernels, f"_sgns_epoch_{backend}")
+    draw_negatives = getattr(kernels, f"_draw_negatives_{backend}")
+    ids, offsets = _sentences(corpus, vocab)
+    rng = np.random.default_rng(hyper.seed)
+    vin = ((rng.random((len(vocab), EMBEDDING_DIM), dtype=np.float32)) - 0.5) / EMBEDDING_DIM
+    vout = np.zeros((len(vocab), EMBEDDING_DIM), dtype=np.float32)
+    pairs = kernels.count_pairs(offsets, hyper.window)
+    cdf = _negative_sampling_cdf(vocab)
+    lr_floor = hyper.initial_lr * LR_FLOOR_FRACTION
+    for epoch in range(hyper.epochs):
+        negatives = draw_negatives(cdf, rng.random((pairs, hyper.negatives)))
+        sgns_epoch(ids, offsets, vin, vout, negatives, hyper.window, hyper.initial_lr,
+                   lr_floor, epoch * pairs, pairs * hyper.epochs)
+    return EmbeddingModel(vocab, vin, vout)
+
+
+class DrawLog:
+    """Stands in for ``kernels.draw_negatives``: counts calls, and raises
+    ``error`` on call number ``fail_on``."""
+
+    def __init__(self, fail_on=None, error=None):
+        self.calls = 0
+        self.fail_on, self.error = fail_on, error
+        self.draw = kernels.draw_negatives
+
+    def __call__(self, cdf, draws):
+        self.calls += 1
+        if self.calls == self.fail_on:
+            raise self.error
+        return self.draw(cdf, draws)
+
+
+class TestDrawAhead:
+    native_only = pytest.mark.skipif(kernels.BACKEND != "native", reason="native backend inactive")
+
+    @pytest.mark.parametrize("backend", ["numpy", pytest.param("native", marks=native_only)])
+    @pytest.mark.parametrize("epochs", [1, 2, 5])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_sequential_oracle(self, monkeypatch, backend, epochs, seed):
+        corpus = random_corpus(seed)
+        vocab = build_vocab(corpus, min_count=1)
+        hyper = Hyperparams(window=3, negatives=4, epochs=epochs, seed=seed)
+        monkeypatch.setattr(kernels, "sgns_epoch", getattr(kernels, f"_sgns_epoch_{backend}"))
+        monkeypatch.setattr(kernels, "draw_negatives", getattr(kernels, f"_draw_negatives_{backend}"))
+        expected = sequential_oracle(corpus, vocab, hyper, backend)
+        assert not np.array_equal(expected.output_vectors, 0)
+        assert train_embeddings(corpus, vocab, hyper) == expected
+
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_draws_once_per_epoch(self, monkeypatch, epochs):
+        corpus = random_corpus(4)
+        vocab = build_vocab(corpus, min_count=1)
+        draws = DrawLog()
+        monkeypatch.setattr(kernels, "draw_negatives", draws)
+        model = train_embeddings(corpus, vocab, Hyperparams(epochs=epochs, seed=4))
+        assert draws.calls == epochs
+        if epochs == 0:
+            assert np.array_equal(model.output_vectors, np.zeros_like(model.output_vectors))
+
+    def test_no_pairs_no_draws(self, monkeypatch):
+        corpus = [grouped("only")]
+        draws = DrawLog()
+        monkeypatch.setattr(kernels, "draw_negatives", draws)
+        train_embeddings(corpus, build_vocab(corpus, min_count=1), Hyperparams(epochs=3))
+        assert draws.calls == 0
+
+    @pytest.mark.parametrize("fail_on", [1, 2, 5])
+    def test_draw_error_reaches_caller_and_no_thread_outlives(self, monkeypatch, fail_on):
+        corpus = random_corpus(5)
+        vocab = build_vocab(corpus, min_count=1)
+        error = RuntimeError(f"draw {fail_on} failed")
+        draws = DrawLog(fail_on, error)
+        monkeypatch.setattr(kernels, "draw_negatives", draws)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as caught:
+            train_embeddings(corpus, vocab, Hyperparams(epochs=5, seed=5))
+        assert caught.value is error
+        assert draws.calls == fail_on
+        assert threading.active_count() == threads
+
+    def test_epoch_error_reaches_caller_and_no_thread_outlives(self, monkeypatch):
+        corpus = random_corpus(6)
+        vocab = build_vocab(corpus, min_count=1)
+
+        def fail(*args):
+            raise FloatingPointError("epoch failed")
+
+        monkeypatch.setattr(kernels, "sgns_epoch", fail)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError):
+            train_embeddings(corpus, vocab, Hyperparams(epochs=5, seed=6))
+        assert threading.active_count() == threads
 
 
 class TestPairObjective:

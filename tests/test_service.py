@@ -76,6 +76,28 @@ def raw_post(srv, content_length: bytes, body: bytes):
         return response.status, json.loads(response.read())
 
 
+HEALTH_REQUEST = b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+def raw_exchange(srv, request: bytes) -> bytes:
+    """Everything the server sends on one keep-alive connection for ``request``, up to its close."""
+    with socket.create_connection(srv.server_address[:2], timeout=5) as sock:
+        sock.sendall(request)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+        return received
+
+
+def only_response(data: bytes):
+    """(status, headers, parsed_json) of ``data``, which must hold exactly one response."""
+    head, _, body = data.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines)
+    assert len(body) == int(headers["Content-Length"]), data
+    return int(status_line.split()[1]), headers, json.loads(body)
+
+
 class TestDetect:
     def test_matches_manual_pipeline(self, detector, model_dir, sample_logs):
         embeddings = load_embeddings(model_dir["embeddings"])
@@ -256,6 +278,31 @@ class TestHttp:
         # RFC 9110 5.5: a field value excludes the line's leading and trailing SP/HTAB
         status, payload = raw_post(server, b"2 \t", b"{}")
         assert status == 200 and payload["verdict"] in ("malicious", "benign")
+
+    # RFC 9112 6.3: the body's end is in doubt, so the health check sent after
+    # it on the same connection must go unanswered
+    @pytest.mark.parametrize("sizes", [(b"2", b"40"), (b"2", b"2")], ids=["differing", "repeated"])
+    def test_several_content_lengths_are_400_and_close(self, server, sizes):
+        lines = b"".join(b"Content-Length: " + size + b"\r\n" for size in sizes)
+        request = b"POST /v1/detect HTTP/1.1\r\nHost: x\r\n" + lines + b"\r\n{}" + HEALTH_REQUEST
+        status, headers, payload = only_response(raw_exchange(server, request))
+        assert (status, payload) == (400, {"error": "LOG_PARSE", "detail": "bad request size"})
+        assert headers["Connection"] == "close"
+        assert http("GET", url_of(server, "/v1/health"))[0] == 200
+
+    # RFC 9112 6.1: a transfer coding the server does not implement is 501, and
+    # the chunk bytes must not be read as the next request
+    @pytest.mark.parametrize("framing", [
+        b"Transfer-Encoding: chunked\r\n",
+        b"Transfer-Encoding: gzip, chunked\r\nContent-Length: 2\r\n",
+    ], ids=["chunked", "with-content-length"])
+    def test_transfer_encoding_is_501_and_close(self, server, framing):
+        request = (b"POST /v1/detect HTTP/1.1\r\nHost: x\r\n" + framing
+                   + b"\r\n2\r\n{}\r\n0\r\n\r\n" + HEALTH_REQUEST)
+        status, headers, payload = only_response(raw_exchange(server, request))
+        assert (status, payload["error"]) == (501, "NOT_IMPLEMENTED")
+        assert headers["Connection"] == "close"
+        assert http("GET", url_of(server, "/v1/health"))[0] == 200
 
     def test_unknown_paths_are_404(self, server):
         status, _, payload = http("GET", url_of(server, "/nope"))
