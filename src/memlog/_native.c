@@ -10,11 +10,12 @@
  * np.searchsorted; memlog_grow_tree the same tree_node records as
  * kernels._grow_tree_numpy.  Built with -O3 but without fast-math and
  * with -ffp-contract=off, so no operation is fused or reordered (gcc
- * vectorizes only element-wise updates; every sum stays sequential) and
- * the results are bit-identical to the references.  The source is C11 and
- * builds clean under -std=c11 -Wall -Wextra -Wpedantic -Werror; the one
- * thing outside the standard is tree_node's pack pragma, which gcc and
- * clang honour.  The Python wrappers in kernels.py check every array
+ * vectorizes only element-wise updates and side-by-side dot products, one
+ * per lane; every sum stays sequential) and the results are bit-identical
+ * to the references.  The source is C11 and builds clean under -std=c11
+ * -Wall -Wextra -Wpedantic -Werror; outside the standard are tree_node's
+ * pack pragma and the epoch's guarded attributes, which gcc and clang
+ * honour.  The Python wrappers in kernels.py check every array
  * (dtype, layout, shape, index and value ranges) before calling; nothing
  * here re-checks them.  Each returns 0 on success and -1 when its scratch
  * buffers cannot be allocated (memlog_grow_tree also 1, see below).
@@ -36,9 +37,31 @@
  * still its own sequential float64 sum over d, so it has the bits of the
  * sequential loop.  A pair with a repeated target scores each target just
  * before its update, as the reference does.
+ *
+ * The loss is kept as kernels.py states it: the positive z in one sum and
+ * every target's 1 + e in one running product, renormalised by frexp above
+ * 2^512, so an epoch makes one log call instead of a log1p per target.
+ *
+ * On x86-64 with glibc, gcc and clang also build an AVX2 copy of the epoch,
+ * with block_dots inlined into each copy, and pick one at load time
+ * (target_clones).  The copy's wider vectors round each lane as the
+ * baseline's do and its sums stay sequential, so both give the same bits.
+ * Elsewhere SGNS_CLONES and SGNS_INLINED are empty.
  */
 
 #define SGNS_BLOCK 8
+#define LN2 0.6931471805599453
+
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define SGNS_CLONES __attribute__((target_clones("avx2", "default")))
+#define SGNS_INLINED inline __attribute__((always_inline))
+#endif
+#endif
+#ifndef SGNS_CLONES
+#define SGNS_CLONES
+#define SGNS_INLINED
+#endif
 
 /* score[c] = u[c] . v for the m <= SGNS_BLOCK rows u[c], one chain each.
  * Called with a constant m, so the chains are unrolled into registers
@@ -53,7 +76,7 @@ static inline void dots(int m, float *const *u, const float *v, int64_t dim, dou
         score[c] = s[c];
 }
 
-static void block_dots(int m, float *const *u, const float *v, int64_t dim, double *score)
+static SGNS_INLINED void block_dots(int m, float *const *u, const float *v, int64_t dim, double *score)
 {
     switch (m) {
     case 1: dots(1, u, v, dim, score); break;
@@ -67,6 +90,7 @@ static void block_dots(int m, float *const *u, const float *v, int64_t dim, doub
     }
 }
 
+SGNS_CLONES
 int memlog_sgns_epoch(const int32_t *ids, const int64_t *offsets, int64_t n_sentences,
                       float *vin, float *vout, int64_t dim,
                       const int32_t *negatives, int64_t k, int64_t window,
@@ -84,7 +108,9 @@ int memlog_sgns_epoch(const int32_t *ids, const int64_t *offsets, int64_t n_sent
         return -1;
     }
     int64_t pair = 0;
-    double loss = 0.0;
+    /* the loss is loss_z + log(loss_prod * 2^loss_exp) */
+    double loss_z = 0.0, loss_prod = 1.0;
+    int64_t loss_exp = 0;
     for (int64_t s = 0; s < n_sentences; s++) {
         int64_t start = offsets[s], stop = offsets[s + 1];
         for (int64_t i = start; i < stop; i++) {
@@ -128,10 +154,17 @@ int memlog_sgns_epoch(const int32_t *ids, const int64_t *offsets, int64_t n_sent
                     else
                         for (int64_t d = 0; d < dim; d++)
                             score += (double)(u[d] * v[d]);
-                    double e = exp(-fabs(score));
-                    double sig = score >= 0.0 ? 1.0 / (1.0 + e) : e / (1.0 + e);
+                    double e = exp(-fabs(score)), denom = 1.0 + e;
+                    double sig = score >= 0.0 ? 1.0 / denom : e / denom;
                     double z = n == 0 ? -score : score;
-                    loss += z > 0.0 ? log1p(e) + z : log1p(e);
+                    if (z > 0.0)
+                        loss_z += z;
+                    loss_prod *= denom;
+                    if (loss_prod > 0x1p512) {
+                        int ex;
+                        loss_prod = frexp(loss_prod, &ex);
+                        loss_exp += ex;
+                    }
                     /* not label - sig: 0.0 - 0.0 is +0.0 where -sig is -0.0 */
                     float g = (float)((n == 0 ? 1.0 - sig : -sig) * lr);
                     for (int64_t d = 0; d < dim; d++) {
@@ -148,7 +181,7 @@ int memlog_sgns_epoch(const int32_t *ids, const int64_t *offsets, int64_t n_sent
     free(grad_v);
     free(rows);
     free(scores);
-    *loss_out = loss;
+    *loss_out = loss_z + (log(loss_prod) + (double)loss_exp * LN2);
     return 0;
 }
 

@@ -13,7 +13,7 @@ stable and documented in the README:
 Heavy numeric imports happen inside the subcommands that need them; the
 ``agent`` subcommand stays stdlib-only to honor its memory budget.
 OpenBLAS is limited to one thread unless ``OPENBLAS_NUM_THREADS`` is
-already set.
+already set to a non-empty value.
 """
 from __future__ import annotations
 
@@ -28,7 +28,9 @@ import urllib.parse
 # memlog calls no BLAS routine, but importing numpy starts OpenBLAS's worker
 # threads, whose idle spin takes the core that train's negative draws use;
 # set before any subcommand imports numpy, and a caller's own value wins
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# (an empty one is no value: OpenBLAS then starts its default threads)
+if not os.environ.get("OPENBLAS_NUM_THREADS"):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import __version__
 from .config import parse_config

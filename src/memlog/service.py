@@ -187,15 +187,16 @@ class _Handler(BaseHTTPRequestHandler):
             if len(sizes) > 1:
                 self._reply(400, {"error": "LOG_PARSE", "detail": "bad request size"}, close=True)
                 return
-            if self.path != "/v1/detect":
-                self._reply(404, {"error": "NOT_FOUND"})
-                return
             # RFC 9110 8.6: ASCII digits once the spaces and tabs around them
             # are stripped; int() would also take a sign, "_" or other spaces
             size = sizes[0].strip(" \t")
             length = int(size) if size.isascii() and size.isdigit() else -1
+            # a body left unread would be parsed as the next request: answer and close
+            if self.path != "/v1/detect":
+                self._reply(404, {"error": "NOT_FOUND"}, close=length != 0)
+                return
             if not 0 <= length <= _MAX_REQUEST_BYTES:
-                self._reply(400, {"error": "LOG_PARSE", "detail": "bad request size"})
+                self._reply(400, {"error": "LOG_PARSE", "detail": "bad request size"}, close=True)
                 return
             body = self.rfile.read(length)
             request_id = self.headers.get("X-Request-Id", "")

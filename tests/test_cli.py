@@ -165,6 +165,13 @@ class TestOpenBlasDefault:
             pytest.skip("no /proc/self/task to count threads in")
         assert report["tasks"] == 1
 
+    def test_an_empty_value_counts_as_unset(self):
+        report = self.imported(OPENBLAS_NUM_THREADS="")
+        assert report["value"] == "1"
+        if report["tasks"] is None:
+            pytest.skip("no /proc/self/task to count threads in")
+        assert report["tasks"] == 1
+
     def test_a_preset_value_is_kept(self):
         report = self.imported(OPENBLAS_NUM_THREADS="2")
         assert report["value"] == "2"

@@ -11,6 +11,7 @@ Tree inference has one implementation, a plain Python walk;
 ``tests/test_gbdt.py`` checks it against per-tree routing.
 """
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -286,10 +287,58 @@ def pair_targets(ids, offsets, window, negatives):
 
 #: Scales at which every float32 product of a saturating epoch stays finite.
 SATURATING_SCALES = (0.01, 0.1, 1.0, 10.0, 100.0, 1e3)
-#: sha256 of the loss, vin and vout of the saturating epochs of seeds 60-62
-#: over ``SATURATING_SCALES``, pinned before the context and the negatives
-#: shared one update loop.
-SATURATING_DIGEST = "bb2cdc8a635f65dd6eb557a6f4ffaf4f9180b7fed61d4c084cccb3278dabe72f"
+#: sha256 of vin and vout after the saturating epochs of seeds 60-62 over
+#: ``SATURATING_SCALES``, pinned before the context and the negatives shared
+#: one update loop, and again before the loss became a running product.
+SATURATING_VECTORS_DIGEST = "f24f64c1ff2b60f1502f85a79bcca9f3e552bb1685a8958573ac432059885286"
+#: The losses of the same epochs, in the same order, as the sum of one
+#: log1p per target gave them.  The running product that replaced it rounds
+#: differently, so these hold to a relative 1e-12.
+SATURATING_LOSSES = (
+    397.8627327323534, 397.4932154227897, 373.43967314816393,
+    3028.2981838225037, 301518.1090565213, 30149775.724237442,
+    414.49950701870927, 414.25285461436033, 401.4793235803159,
+    3925.6285467720704, 389292.6941363777, 38931712.02227664,
+    435.2947681887697, 435.13115208345965, 425.4281874952877,
+    2375.757906311292, 228018.32735139568, 22803109.069345605,
+)
+
+#: The text that asks for the AVX2 copy of the C epoch.
+CLONES_ATTRIBUTE = '__attribute__((target_clones("avx2", "default")))'
+
+
+def saturating_grid():
+    """The saturating epochs of seeds 60-62 over ``SATURATING_SCALES``, as
+    ``sgns_epoch`` arguments."""
+    for seed in (60, 61, 62):
+        for scale in SATURATING_SCALES:
+            ids, offsets, vin, vout, negatives, window, pairs = saturating_inputs(seed, scale)
+            yield ids, offsets, vin, vout, negatives, window, 0.025, 0.025 * 1e-4, 0, pairs
+
+
+def block_width_grid():
+    """Epochs whose pairs have k + 1 = 1 to 18 targets, on 5 tokens (most
+    pairs repeat a target) and on 40 (most do not), as ``sgns_epoch``
+    arguments."""
+    for k in PARITY_KS:
+        for dim in (1, 3, 33):
+            for n_tokens in (5, 40):
+                ids, offsets, vin, _, negatives, window, pairs = sgns_inputs(
+                    70 + k + dim, n_tokens, dim, k=k
+                )
+                rng = np.random.default_rng([k, dim])
+                vout = rng.random(vin.shape, dtype=np.float32) - np.float32(0.5)
+                yield ids, offsets, vin, vout, negatives, window, 0.5, 0.5e-4, 0, pairs
+
+
+def epoch_bytes(impl, args):
+    """The loss, vin and vout of one epoch of ``impl`` on copies of the
+    matrices in ``args``, as bytes."""
+    ids, offsets, vin, vout, *rest = args
+    vin, vout = vin.copy(), vout.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = impl(ids, offsets, vin, vout, *rest)
+    return np.float64(loss).tobytes() + vin.tobytes() + vout.tobytes()
 
 
 class TestSgnsKernels:
@@ -333,14 +382,16 @@ class TestSgnsKernels:
     @pytest.mark.parametrize("impl_name", IMPLS)
     def test_saturated_scores_keep_their_pinned_bits(self, impl_name):
         digest = hashlib.sha256()
-        for seed in (60, 61, 62):
-            for scale in SATURATING_SCALES:
-                loss, vin, vout = self.run_epoch(getattr(kernels, impl_name), seed, scale)
-                if scale == 1e3:
-                    assert loss > 1e6  # some targets scored past exp's underflow
-                for out in (np.float64(loss), vin, vout):
-                    digest.update(out.tobytes())
-        assert digest.hexdigest() == SATURATING_DIGEST
+        for i, (args, pinned) in enumerate(zip(saturating_grid(), SATURATING_LOSSES, strict=True)):
+            _, _, vin, vout, *_ = args
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss = getattr(kernels, impl_name)(*args)
+            assert loss == pytest.approx(pinned, rel=1e-12)
+            if SATURATING_SCALES[i % len(SATURATING_SCALES)] == 1e3:
+                assert loss > 1e6  # some targets scored past exp's underflow
+            digest.update(vin.tobytes())
+            digest.update(vout.tobytes())
+        assert digest.hexdigest() == SATURATING_VECTORS_DIGEST
 
     @pytest.mark.skipif(kernels.BACKEND != "native", reason="native backend inactive")
     def test_compiled_matches_python_source_when_scores_saturate(self):
@@ -355,32 +406,56 @@ class TestSgnsKernels:
                         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     @pytest.mark.skipif(kernels.BACKEND != "native", reason="native backend inactive")
-    def test_compiled_matches_python_source_at_every_block_width(self):
+    def test_compiled_matches_python_source_at_every_block_width(self, monkeypatch):
         # The C epoch scores a pair's distinct targets side by side in blocks
         # of up to 8 and sends a pair with a repeated target down the
         # sequential loop.  On 5 tokens most pairs repeat a target; on 40
-        # most do not, and k + 1 targets fill every block width.
-        widths, repeated = set(), 0
-        for k in PARITY_KS:
-            for dim in (1, 3, 33):
-                for n_tokens in (5, 40):
-                    ids, offsets, vin, _, negatives, window, pairs = sgns_inputs(
-                        70 + k + dim, n_tokens, dim, k=k
-                    )
-                    rng = np.random.default_rng([k, dim])
-                    vout = rng.random(vin.shape, dtype=np.float32) - np.float32(0.5)
-                    for targets in pair_targets(ids, offsets, window, negatives):
-                        if len(set(targets)) < len(targets):
-                            repeated += 1
-                        else:
-                            widths.update({len(targets) % 8 or 8, min(len(targets), 8)})
-                    results = []
-                    for impl in (kernels._sgns_epoch_native, kernels._sgns_epoch_numpy):
-                        a, b = vin.copy(), vout.copy()
-                        loss = impl(ids, offsets, a, b, negatives, window, 0.5, 0.5e-4, 0, pairs)
-                        results.append(np.float64(loss).tobytes() + a.tobytes() + b.tobytes())
-                    assert results[0] == results[1], (k, dim, n_tokens)
+        # most do not, and k + 1 targets fill every block width.  The loss
+        # product passes 2**512, and is renormalised, only in epochs of many
+        # targets; the numpy epoch's frexp calls show which.
+        frexp, renormalised = math.frexp, []
+
+        def counted_frexp(x):
+            renormalised.append(x)
+            return frexp(x)
+
+        monkeypatch.setattr(kernels.math, "frexp", counted_frexp)
+        widths, repeated, products = set(), 0, set()
+        for args in block_width_grid():
+            ids, offsets, _, _, negatives, window, *_ = args
+            for targets in pair_targets(ids, offsets, window, negatives):
+                if len(set(targets)) < len(targets):
+                    repeated += 1
+                else:
+                    widths.update({len(targets) % 8 or 8, min(len(targets), 8)})
+            native = epoch_bytes(kernels._sgns_epoch_native, args)
+            calls = len(renormalised)
+            assert native == epoch_bytes(kernels._sgns_epoch_numpy, args), args[4].shape
+            products.add(len(renormalised) > calls)
         assert widths == set(range(1, 9)) and repeated
+        assert products == {True, False}
+
+    @pytest.mark.skipif(kernels.BACKEND != "native", reason="native backend inactive")
+    def test_baseline_copy_matches_the_loaded_library(self, tmp_path, monkeypatch):
+        # Where the C epoch has an AVX2 copy, the loaded library runs it on
+        # an AVX2 machine; a build without the attribute has only the
+        # baseline.  Both must give the numpy epoch's bits.
+        source = Path(kernels._SOURCE).read_text()
+        assert CLONES_ATTRIBUTE in source
+        stripped = tmp_path / "baseline.c"
+        stripped.write_text(source.replace(CLONES_ATTRIBUTE, ""))
+        library = tmp_path / "baseline.so"
+        built = subprocess.run(
+            [kernels._COMPILER, *kernels._CFLAGS, "-o", str(library), str(stripped), *kernels._LDLIBS],
+            capture_output=True, text=True,
+        )
+        assert built.returncode == 0, built.stderr
+        grid = [*block_width_grid(), *saturating_grid()]
+        loaded = [epoch_bytes(kernels._sgns_epoch_native, args) for args in grid]
+        monkeypatch.setattr(kernels, "_lib", kernels._load(str(library)))
+        baseline = [epoch_bytes(kernels._sgns_epoch_native, args) for args in grid]
+        reference = [epoch_bytes(kernels._sgns_epoch_numpy, args) for args in grid]
+        assert baseline == loaded == reference
 
     def test_numpy_epoch_implements_pair_objective(self):
         # One sentence [0, 1] at window 1 is two pairs: (0 -> 1), then

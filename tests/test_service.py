@@ -304,6 +304,31 @@ class TestHttp:
         assert headers["Connection"] == "close"
         assert http("GET", url_of(server, "/v1/health"))[0] == 200
 
+    # a POST answered before its body is read closes the connection, so the
+    # body is not parsed as the next request and the health check sent after
+    # it on the same connection goes unanswered
+    @pytest.mark.parametrize("path, size, status, payload", [
+        (b"/v1/health", b"2", 404, {"error": "NOT_FOUND"}),
+        (b"/nope", b"2", 404, {"error": "NOT_FOUND"}),
+        (b"/v1/detect", b"+2", 400, {"error": "LOG_PARSE", "detail": "bad request size"}),
+        (b"/v1/detect", b"999999999", 400, {"error": "LOG_PARSE", "detail": "bad request size"}),
+    ], ids=["health", "unknown", "signed-size", "oversize"])
+    def test_post_answered_unread_closes(self, server, path, size, status, payload):
+        request = (b"POST " + path + b" HTTP/1.1\r\nHost: x\r\nContent-Length: " + size
+                   + b"\r\n\r\n{}" + HEALTH_REQUEST)
+        got_status, headers, got_payload = only_response(raw_exchange(server, request))
+        assert (got_status, got_payload) == (status, payload)
+        assert headers["Connection"] == "close"
+        assert http("GET", url_of(server, "/v1/health"))[0] == 200
+
+    def test_bodiless_post_to_unknown_path_keeps_the_connection(self, server):
+        closing_health = HEALTH_REQUEST.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n")
+        request = b"POST /nope HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n" + closing_health
+        data = raw_exchange(server, request)
+        not_found, _, health = data.partition(b"HTTP/1.1 200 OK\r\n")
+        assert only_response(not_found)[::2] == (404, {"error": "NOT_FOUND"})
+        assert b"Connection" not in not_found and b'"status": "ready"' in health
+
     def test_unknown_paths_are_404(self, server):
         status, _, payload = http("GET", url_of(server, "/nope"))
         assert status == 404
