@@ -46,6 +46,15 @@ NEGATIVE_SAMPLING_POWER = 0.75
 #: The learning rate decays linearly to this fraction of its start value.
 LR_FLOOR_FRACTION = 1e-4
 
+#: The digits of a hex word as ``tokenizer.hex_words`` writes them.
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
+def _word_bucket(words: np.ndarray) -> np.ndarray:
+    """One of 2^16 hash buckets per ``uint32`` word: the top half of its
+    product with Knuth's multiplier, modulo 2^32."""
+    return (words * np.uint32(0x9E3779B1)) >> np.uint32(16)
+
 
 @dataclass
 class Hyperparams:
@@ -67,9 +76,28 @@ class Vocabulary:
             raise VocabMismatch("vocabulary contains duplicate tokens")
         if len(self.tokens) != len(self.frequencies):
             raise VocabMismatch("token and frequency lists differ in length")
+        # the tokens a full 4-byte hex word can equal, as sorted integers with
+        # their ids, and the hash buckets that hold one of them
+        words = sorted(
+            (int(tok, 16), i) for tok, i in self.index.items()
+            if len(tok) == 8 and _HEX_DIGITS.issuperset(tok)
+        )
+        self._word_values = np.array([value for value, _ in words], dtype=np.uint32)
+        self._word_ids = np.array([i for _, i in words], dtype=np.intp)
+        self._word_buckets = np.zeros(1 << 16, dtype=bool)
+        self._word_buckets[_word_bucket(self._word_values)] = True
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+    def hex_word_ids(self, words: np.ndarray) -> list[int]:
+        """The ids of the ``uint32`` ``words`` whose 8-digit hex token is in
+        the vocabulary, in word order.  A word's hash bucket rules most words
+        out, and a binary search matches the rest exactly."""
+        words = words[self._word_buckets[_word_bucket(words)]]
+        slots = np.searchsorted(self._word_values, words)
+        np.minimum(slots, len(self._word_values) - 1, out=slots)
+        return self._word_ids[slots[self._word_values[slots] == words]].tolist()
 
     def __contains__(self, token: str) -> bool:
         return token in self.index

@@ -15,6 +15,7 @@ mutable shared state and is serialized through one lock.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -24,6 +25,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from socket import SHUT_RD
 from typing import Optional
 
 from .embedding import EMBEDDING_DIM, EmbeddingModel, load_embeddings
@@ -151,6 +153,16 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:
         logger.debug("%s - %s", self.address_string(), format % args)
 
+    def handle_one_request(self) -> None:
+        try:
+            started = self.server.await_request(self)
+        except TimeoutError:
+            started = False  # idle past the timeout, as the base class would drop it
+        if started:
+            super().handle_one_request()
+        else:
+            self.close_connection = True
+
     def _reply(self, status: int, payload: dict, close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
@@ -230,7 +242,41 @@ class DetectorServer(ThreadingHTTPServer):
 
     def __init__(self, address: tuple[str, int], service: DetectorService):
         self.service = service
+        self._idle = set()  # connections of handlers waiting for a next request
+        self._idle_lock = threading.Lock()
+        self._closing = False
         super().__init__(address, _Handler)
+
+    def await_request(self, handler: _Handler) -> bool:
+        """Wait for the first byte of the next request on ``handler``'s
+        connection; False when there is none, or the server is closing.
+
+        While it waits, the connection is idle, and ``server_close`` may
+        close it.  Once a request has started, it is answered.
+        """
+        connection = handler.connection
+        with self._idle_lock:
+            if self._closing:
+                return False
+            self._idle.add(connection)
+        try:
+            started = bool(handler.rfile.peek(1))
+        finally:
+            with self._idle_lock:
+                self._idle.discard(connection)
+                # a connection closed while idle may have lost part of a request
+                closed = self._closing
+        return started and not closed
+
+    def server_close(self) -> None:
+        # wake each handler waiting for a next request with end-of-file, so
+        # that joining the handler threads waits only for requests in flight
+        with self._idle_lock:
+            self._closing = True
+            for connection in self._idle:
+                with contextlib.suppress(OSError):
+                    connection.shutdown(SHUT_RD)
+        super().server_close()
 
 
 def make_server(service: DetectorService, host: str, port: int) -> DetectorServer:

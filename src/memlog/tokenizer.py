@@ -5,8 +5,11 @@ is already ``0x``-lowercase or empty.  Each log field feeds exactly one
 group, so the groups partition the token stream.  Scalar values become
 single tokens; the two exceptions are byte strings, which split into
 4-byte hex words (all of them from one ``bytes.hex`` call), and command
-lines, which split on whitespace.  Three value rules keep the vocabulary
-dense:
+lines, which split on whitespace.  The stack snapshot, most of a large
+log's tokens, is kept as bytes in :class:`GroupedTokens`: its words are
+made as strings only when a group is read, and the vectorizer matches
+them against the vocabulary as integers instead.  Three value rules keep
+the vocabulary dense:
 
 - text: lowercased, with each run of whitespace inside it turned into
   ``_`` and none at either end;
@@ -40,7 +43,8 @@ GROUP_COUNT = len(GroupId)
 
 @dataclass
 class GroupedTokens:
-    """Token lists for one log, indexed by :class:`GroupId`."""
+    """Token lists for one log, indexed by :class:`GroupId`; the stack group
+    is ``stack`` (the trace's tokens) followed by the hex words of ``snapshot``."""
 
     stack: list[str] = field(default_factory=list)
     registers: list[str] = field(default_factory=list)
@@ -48,8 +52,11 @@ class GroupedTokens:
     modules: list[str] = field(default_factory=list)
     resources: list[str] = field(default_factory=list)
     process_meta: list[str] = field(default_factory=list)
+    snapshot: bytes = b""
 
-    def group(self, group_id: GroupId) -> list[str]:
+    def lists(self) -> tuple[list[str], ...]:
+        """The six token lists in :class:`GroupId` order, the stack's without
+        the snapshot's words."""
         return (
             self.stack,
             self.registers,
@@ -57,14 +64,20 @@ class GroupedTokens:
             self.modules,
             self.resources,
             self.process_meta,
-        )[group_id]
+        )
+
+    def group(self, group_id: GroupId) -> list[str]:
+        if group_id == GroupId.STACK and self.snapshot:
+            return self.stack + hex_words(self.snapshot)
+        return self.lists()[group_id]
 
     def __iter__(self) -> Iterator[list[str]]:
         for group_id in GroupId:
             yield self.group(group_id)
 
     def total_tokens(self) -> int:
-        return sum(len(g) for g in self)
+        # the snapshot's words are counted, not made; only the last may be short
+        return sum(map(len, self.lists())) + -(-len(self.snapshot) // 4)
 
 
 def _text(raw: str) -> str:
@@ -129,7 +142,7 @@ def tokenize(log: CanonicalLog) -> GroupedTokens:
     rt = log.runtime
 
     out.stack.extend(filter(None, map(_text, rt.stack_trace)))
-    out.stack.extend(hex_words(rt.stack_snapshot))
+    out.snapshot = rt.stack_snapshot
 
     _extend(
         out.registers,

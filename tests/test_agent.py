@@ -2,11 +2,13 @@
 import json
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from memlog.agent import (
+    _MAX_ERROR_BODY,
     Agent,
     AgentConfig,
     resolve_server,
@@ -23,6 +25,11 @@ CANNED = {
 
 
 class _StubHandler(BaseHTTPRequestHandler):
+    """HTTP/1.0, so it closes the connection after every response."""
+
+    #: Spaces added to the detail of an error body.
+    error_padding = 0
+
     def log_message(self, format, *args):
         pass
 
@@ -35,7 +42,8 @@ class _StubHandler(BaseHTTPRequestHandler):
         if status == 200:
             payload = json.dumps(CANNED).encode()
         else:
-            payload = json.dumps({"error": "STUB", "detail": f"scripted {status}"}).encode()
+            detail = f"scripted {status}" + " " * self.error_padding
+            payload = json.dumps({"error": "STUB", "detail": detail}).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -43,16 +51,62 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.wfile.write(payload)
 
 
+class _KeepAliveHandler(_StubHandler):
+    """HTTP/1.1: the connection stays open until the client closes it."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+            self.server.open_connections += 1
+
+    def finish(self):
+        try:
+            super().finish()
+        finally:
+            with self.server.lock:
+                self.server.open_connections -= 1
+
+
+class _DroppingHandler(_KeepAliveHandler):
+    """Drops the connection after each response without saying so, as a
+    server does when a kept connection's idle time runs out."""
+
+    def do_POST(self):
+        super().do_POST()
+        self.close_connection = True
+
+
+class _LongErrorHandler(_KeepAliveHandler):
+    """Error bodies longer than the agent reads."""
+
+    error_padding = _MAX_ERROR_BODY
+
+
+class _ProxyHandler(_KeepAliveHandler):
+    """Records the headers a proxy reads."""
+
+    def do_POST(self):
+        with self.server.lock:
+            self.server.proxy_headers.append(
+                (self.headers["Host"], self.headers["Proxy-Authorization"])
+            )
+        super().do_POST()
+
+
 @pytest.fixture()
 def stub():
-    """Scripted detector stub; yields the server, counts every request."""
+    """Scripted detector stub; yields the server, counts every request and connection."""
     servers = []
 
-    def start(script=()):
-        srv = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+    def start(script=(), handler=_StubHandler):
+        srv = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         srv.lock = threading.Lock()
         srv.requests = []
         srv.script = list(script)
+        srv.connections = srv.open_connections = 0
         srv.url = f"http://127.0.0.1:{srv.server_address[1]}"
         thread = threading.Thread(target=srv.serve_forever)
         thread.start()
@@ -212,6 +266,107 @@ class TestExactlyOnce:
             "a.json",
         ]
         assert len(read_results(tmp_path)) == 2
+
+
+def shipped_once(watch_dir, srv, names):
+    """Each file landed in processed/ with one verdict line, and the server
+    read each file's bytes."""
+    assert sorted(p.name for p in (watch_dir / "processed").iterdir()) == names
+    assert list((watch_dir / "failed").iterdir()) == []
+    assert sorted(r["file"] for r in read_results(watch_dir)) == names
+    assert {body for _, body in srv.requests} == {
+        (watch_dir / "processed" / name).read_bytes() for name in names
+    }
+
+
+class TestKeptConnection:
+    NAMES = [f"log_{i}.json" for i in range(4)]
+
+    def test_one_connection_per_pass(self, stub, tmp_path):
+        srv = stub(handler=_KeepAliveHandler)
+        seed_files(tmp_path, self.NAMES)
+        agent = make_agent(tmp_path, srv.url)
+        agent.run()
+        shipped_once(tmp_path, srv, self.NAMES)
+        assert len(srv.requests) == 4
+        assert srv.connections == 1
+        assert agent.counts == {
+            "shipped": 4, "rejected": 0, "gave_up": 0, "retried": 0, "reconnected": 0,
+        }
+
+    def test_server_that_closes_after_every_response(self, stub, tmp_path):
+        srv = stub()  # HTTP/1.0
+        seed_files(tmp_path, self.NAMES)
+        agent = make_agent(tmp_path, srv.url, max_attempts=1)
+        agent.run()
+        shipped_once(tmp_path, srv, self.NAMES)
+        assert len(srv.requests) == 4
+        assert (agent.counts["retried"], agent.counts["reconnected"]) == (0, 3)
+
+    def test_idle_connection_dropped_by_the_server_is_replaced(self, stub, tmp_path):
+        srv = stub(handler=_DroppingHandler)
+        seed_files(tmp_path, self.NAMES)
+        # one attempt per file: sending again on a fresh connection does not use one up
+        agent = make_agent(tmp_path, srv.url, max_attempts=1)
+        agent.run()
+        shipped_once(tmp_path, srv, self.NAMES)
+        assert len(srv.requests) == 4
+        assert srv.connections == 4
+        assert (agent.counts["retried"], agent.counts["reconnected"]) == (0, 3)
+
+    def test_retry_after_5xx_stays_on_the_connection(self, stub, tmp_path):
+        srv = stub(script=[503, 200], handler=_KeepAliveHandler)
+        seed_files(tmp_path, ["one.json"])
+        agent = make_agent(tmp_path, srv.url)
+        agent.run()
+        shipped_once(tmp_path, srv, ["one.json"])
+        assert len(srv.requests) == 2
+        assert srv.connections == 1
+        assert (agent.counts["retried"], agent.counts["reconnected"]) == (1, 0)
+
+    def test_long_error_body_is_not_read_on(self, stub, tmp_path):
+        srv = stub(script=[503, 200], handler=_LongErrorHandler)
+        seed_files(tmp_path, ["one.json", "two.json"])
+        agent = make_agent(tmp_path, srv.url)
+        agent.run()
+        shipped_once(tmp_path, srv, ["one.json", "two.json"])
+        assert len(srv.requests) == 3
+        # the rest of the 503's body was left unread, so its connection was closed
+        assert srv.connections == 2
+        assert (agent.counts["retried"], agent.counts["reconnected"]) == (1, 1)
+
+    def test_polling_agent_holds_no_socket_while_idle(self, stub, tmp_path):
+        srv = stub(handler=_KeepAliveHandler)
+        seed_files(tmp_path, self.NAMES)
+        agent = make_agent(tmp_path, srv.url, drain=False)
+        thread = threading.Thread(target=agent.run)
+        thread.start()
+        try:
+            deadline = time.monotonic() + 10
+            while len(read_results(tmp_path)) < 4 or srv.open_connections:
+                assert time.monotonic() < deadline, "the agent kept its connection while idle"
+                time.sleep(0.01)
+            assert thread.is_alive()
+        finally:
+            agent.stop()
+            thread.join(timeout=10)
+        shipped_once(tmp_path, srv, self.NAMES)
+        assert srv.connections == 1
+
+    def test_http_proxy_gets_the_absolute_form_target(self, stub, tmp_path, monkeypatch):
+        srv = stub(handler=_ProxyHandler)
+        srv.proxy_headers = []
+        for name in ("no_proxy", "NO_PROXY", "HTTP_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("http_proxy", srv.url.replace("//", "//user:p%40ss@"))
+        seed_files(tmp_path, ["one.json", "two.json"])
+        # the name need not resolve: only the proxy is connected to
+        agent = make_agent(tmp_path, "http://logs.example:8787")
+        agent.run()
+        shipped_once(tmp_path, srv, ["one.json", "two.json"])
+        assert [path for path, _ in srv.requests] == ["http://logs.example:8787/v1/detect"] * 2
+        assert srv.proxy_headers == [("logs.example:8787", "Basic dXNlcjpwQHNz")] * 2
+        assert srv.connections == 1
 
 
 class TestConfiguration:

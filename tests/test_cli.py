@@ -789,6 +789,10 @@ class TestAgentCommand:
             ]
             assert len(results) == 3
             assert all(r["verdict"] in ("malicious", "benign") for r in results)
+            # the summary line: all three on one kept connection
+            assert json.loads(result.stdout) == {
+                "shipped": 3, "rejected": 0, "gave_up": 0, "retried": 0, "reconnected": 0,
+            }
         finally:
             server.send_signal(signal.SIGTERM)
             assert server.wait(timeout=30) == 0

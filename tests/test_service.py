@@ -424,6 +424,59 @@ class TestServerLifecycle:
             thread.join(timeout=10)
         assert not thread.is_alive()
 
+    def test_idle_keep_alive_connection_does_not_delay_close(self, detector):
+        assert _Handler.timeout >= 30  # the production timeout, not shortened
+        srv = make_server(detector, "127.0.0.1", 0)
+        thread = threading.Thread(target=srv.serve_forever)
+        thread.start()
+        try:
+            with socket.create_connection(srv.server_address[:2], timeout=10) as sock:
+                sock.sendall(HEALTH_REQUEST)
+                response = HTTPResponse(sock)
+                response.begin()
+                assert response.status == 200 and not response.will_close
+                response.read()
+                started = time.monotonic()
+                srv.shutdown()
+                srv.server_close()
+                elapsed = time.monotonic() - started
+                assert sock.recv(1) == b""  # the server closed the idle connection
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert elapsed < 5, f"close took {elapsed:.1f} s"
+
+    def test_close_answers_a_request_in_flight(self, detector, sample_logs):
+        srv = make_server(detector, "127.0.0.1", 0)
+        thread = threading.Thread(target=srv.serve_forever)
+        thread.start()
+        body = sample_logs[0]
+        try:
+            with socket.create_connection(srv.server_address[:2], timeout=10) as sock:
+                sock.sendall(b"POST /v1/detect HTTP/1.1\r\nHost: x\r\nContent-Length: "
+                             + str(len(body)).encode() + b"\r\n\r\n" + body[:10])
+                time.sleep(0.2)  # the request has started
+                srv.shutdown()
+                closer = threading.Thread(target=srv.server_close)
+                closer.start()
+                closer.join(timeout=0.3)
+                assert closer.is_alive()  # waiting for the request in flight
+                sock.sendall(body[10:])
+                response = HTTPResponse(sock)
+                response.begin()
+                assert response.status == 200
+                assert json.loads(response.read())["score"] == detector.detect(body).score
+                closer.join(timeout=5)
+                assert not closer.is_alive()
+                assert sock.recv(1) == b""  # and then closed the connection
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
     def test_stalled_body_is_dropped_without_reply(self, server, monkeypatch):
         monkeypatch.setattr(_Handler, "timeout", 0.5)
         with socket.create_connection(server.server_address[:2], timeout=10) as sock:

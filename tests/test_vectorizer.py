@@ -3,13 +3,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memlog.embedding import EmbeddingModel, Vocabulary
 from memlog.errors import UnlabeledLog
 from memlog.logmodel import CanonicalLog, Label
-from memlog.tokenizer import GroupId, GroupedTokens, tokenize
+from memlog.tokenizer import GroupId, GroupedTokens, hex_words, tokenize
 from memlog.vectorizer import (
+    _INTEGER_ROUTE_MIN_BYTES,
     LOG_VECTOR_DIM,
+    _snapshot_ids,
     vectorize_corpus,
     vectorize_log,
 )
@@ -86,6 +90,77 @@ class TestVectorizeLog:
         v1 = vectorize_log(tokens, model1).values
         v3 = vectorize_log(tokens, model3).values
         assert np.allclose(v3, 3.0 * v1, atol=1e-6)
+
+
+#: 8-character tokens that are not hex words as ``hex_words`` writes them,
+#: though ``int(token, 16)`` reads most of them.
+NOT_HEX_WORDS = ["DEADBEEF", "0x00abcd", "+0000001", " 000001f", "0000_001", "abcdefgh"]
+
+
+@st.composite
+def snapshot_cases(draw):
+    """(vocabulary, snapshot, opcode tokens): the vocabulary holds some full
+    hex words (maybe none), some short tail words and decoys; the snapshot's
+    words all hit, all miss or mix, with a tail of 0-3 bytes and lengths on
+    both sides of the cut-over between the two routes."""
+    words = draw(st.lists(st.binary(min_size=4, max_size=4), max_size=12, unique=True))
+    tails = draw(st.lists(st.binary(min_size=1, max_size=3), max_size=4, unique=True))
+    count = draw(st.integers(0, _INTEGER_ROUTE_MIN_BYTES // 4 * 2 + 2))
+    mode = draw(st.sampled_from(["mixed", "all-hit", "no-hit"] if words else ["no-hit"]))
+    if mode == "no-hit":
+        chosen = [w for w in draw(st.lists(st.binary(min_size=4, max_size=4), min_size=count,
+                                           max_size=count)) if w not in words]
+    elif mode == "all-hit":
+        chosen = draw(st.lists(st.sampled_from(words), min_size=count, max_size=count))
+    else:
+        chosen = draw(st.lists(st.one_of(st.sampled_from(words), st.binary(min_size=4, max_size=4)),
+                               min_size=count, max_size=count))
+    tail = draw(st.one_of(st.just(b""), st.binary(min_size=1, max_size=3),
+                          *([st.sampled_from(tails)] if tails else [])))
+    tokens = ["frame"] + [w.hex() for w in words] + [t.hex() for t in tails] + NOT_HEX_WORDS
+    opcodes = draw(st.lists(st.sampled_from(tokens + ["zzz"]), max_size=6))
+    return list(dict.fromkeys(tokens)), b"".join(chosen) + tail, opcodes
+
+
+class TestSnapshotRoutes:
+    """The snapshot's words matched as integers give what ``hex_words`` plus
+    vocabulary lookups give, ids in order, so the pooled vector keeps its bits."""
+
+    @given(snapshot_cases(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_integer_route_equals_string_lookups(self, case, seed):
+        tokens, snapshot, opcodes = case
+        rng = np.random.default_rng(seed)
+        vectors = rng.standard_normal((len(tokens), 32)).astype(np.float32)
+        model = EmbeddingModel(Vocabulary(tokens, [1] * len(tokens)), vectors, vectors)
+        index = model.vocab.index
+        words = hex_words(snapshot)
+        grouped = GroupedTokens(stack=["frame", "zzz"], opcodes=opcodes, snapshot=snapshot)
+        strings = GroupedTokens(stack=["frame", "zzz", *words], opcodes=opcodes)
+        assert _snapshot_ids(snapshot, model.vocab) == (
+            [index[w] for w in words if w in index], len(words),
+        )
+        assert grouped.group(GroupId.STACK) == strings.stack
+        assert grouped.total_tokens() == strings.total_tokens()
+        ours, theirs = vectorize_log(grouped, model), vectorize_log(strings, model)
+        assert ours.values.tobytes() == theirs.values.tobytes()
+        assert ours.coverage.tobytes() == theirs.coverage.tobytes()
+
+    @pytest.mark.parametrize("length", [
+        0, 1, 2, 3, 4, 7, _INTEGER_ROUTE_MIN_BYTES - 1, _INTEGER_ROUTE_MIN_BYTES,
+        _INTEGER_ROUTE_MIN_BYTES + 1, _INTEGER_ROUTE_MIN_BYTES + 3, 4 * _INTEGER_ROUTE_MIN_BYTES,
+    ])
+    def test_every_word_found_on_both_sides_of_the_cut_over(self, length):
+        snapshot = bytes(range(256)) * (length // 256 + 1)
+        snapshot = snapshot[:length]
+        words = hex_words(snapshot)
+        vocab = Vocabulary(list(dict.fromkeys(words)) + NOT_HEX_WORDS, [1] * (len(set(words)) + 6))
+        assert _snapshot_ids(snapshot, vocab) == ([vocab.index[w] for w in words], len(words))
+
+    def test_vocabulary_without_hex_words(self):
+        vocab = Vocabulary(["frame", *NOT_HEX_WORDS], [1] * 7)
+        snapshot = bytes.fromhex("deadbeef") * _INTEGER_ROUTE_MIN_BYTES + b"\x00"
+        assert _snapshot_ids(snapshot, vocab) == ([], _INTEGER_ROUTE_MIN_BYTES + 1)
 
 
 class TestVectorizeCorpus:
