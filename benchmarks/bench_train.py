@@ -6,9 +6,10 @@ Writes a ``generate_corpus`` corpus like perfbench's ``train`` workload
 best-of-N time of each stage of ``cmd_train`` at its defaults:
 ``read_corpus``, ``tokenize``, ``build_vocab``, each epoch's negative draws
 (``rng.random`` then ``kernels.draw_negatives``) and each skip-gram epoch
-run one after the other, ``train_embeddings`` (which draws one epoch ahead
-on a helper thread, so it can take less than the draws and epochs added
-up), ``vectorize_tokens``, ``train_classifier`` and the whole ``cmd_train``.
+run one after the other (asserted to end at ``train_embeddings``'s
+vectors), ``train_embeddings`` (which draws one epoch ahead on a helper
+thread, so it can take less than the draws and epochs added up),
+``vectorize_tokens``, ``train_classifier`` and the whole ``cmd_train``.
 Last come the sha256 digests of the files ``cmd_train`` wrote.  Nothing is
 written outside the temporary directory.  Run from the repository root
 with ``src`` on ``PYTHONPATH``.
@@ -58,7 +59,8 @@ class Timer:
 
 
 def sequential_sgns(timer, grouped, vocab, hyper):
-    """``train_embeddings``'s draws and epochs, one after the other, each timed."""
+    """``train_embeddings``'s draws and epochs, one after the other, each timed;
+    returns the pairs per epoch and the trained ``vin`` and ``vout``."""
     ids, offsets = _sentences(grouped, vocab)
     rng = np.random.default_rng(hyper.seed)
     vin = ((rng.random((len(vocab), EMBEDDING_DIM), dtype=np.float32)) - 0.5) / EMBEDDING_DIM
@@ -71,7 +73,7 @@ def sequential_sgns(timer, grouped, vocab, hyper):
             cdf, rng.random((pairs, hyper.negatives))))
         timer(f"epoch[{epoch}]", kernels.sgns_epoch, ids, offsets, vin, vout, negatives,
               hyper.window, hyper.initial_lr, lr_floor, epoch * pairs, pairs * hyper.epochs)
-    return pairs
+    return pairs, vin, vout
 
 
 def one_pass(timer, corpus_dir, out_dir, seed):
@@ -81,8 +83,11 @@ def one_pass(timer, corpus_dir, out_dir, seed):
     grouped = timer("tokenize", lambda: [tokenize(log) for log in logs])
     vocab = timer("build_vocab", build_vocab, grouped)
     hyper = Hyperparams(seed=seed)
-    pairs = sequential_sgns(timer, grouped, vocab, hyper)
+    pairs, vin, vout = sequential_sgns(timer, grouped, vocab, hyper)
     embeddings = timer("train_embeddings", train_embeddings, grouped, vocab, hyper)
+    # the per-epoch rows time the schedule that train runs only while this copy matches it
+    assert np.array_equal(vin, embeddings.input_vectors), "sequential vin differs from train_embeddings"
+    assert np.array_equal(vout, embeddings.output_vectors), "sequential vout differs from train_embeddings"
     X = timer("vectorize_tokens", vectorize_tokens, grouped, embeddings)
     timer("train_classifier", train_classifier, X[train_idx], y[train_idx], GbdtParams())
     argv = ["train", "--corpus", corpus_dir, "--embeddings-out", str(out_dir / "emb.mleb"),

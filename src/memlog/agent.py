@@ -35,7 +35,7 @@ import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 
-from .errors import WatchDirMissing
+from .errors import BindFailure, WatchDirMissing
 
 logger = logging.getLogger(__name__)
 
@@ -46,6 +46,8 @@ FAILED_DIRNAME = "failed"
 _SKIP_SUFFIXES = (".part", ".tmp")
 #: Bytes of a response body read; the connection of a longer one is closed.
 _MAX_ERROR_BODY = 65536
+#: The detector's path below the server URL.
+_DETECT_PATH = "/v1/detect"
 #: Seconds a POST may wait on the connect or on any one socket read.
 REQUEST_TIMEOUT_S = 10.0
 #: How a kept connection the server closed while idle fails on its next
@@ -76,10 +78,11 @@ class _Outcome:
 
 class Agent:
     def __init__(self, config: AgentConfig):
+        self.config = config
+        self.endpoint = config.server_url.rstrip("/") + _DETECT_PATH
+        self._route(config.server_url)  # before the watch directory is touched
         if not os.path.isdir(config.watch_dir):
             raise WatchDirMissing(f"watch directory does not exist: {config.watch_dir}")
-        self.config = config
-        self.endpoint = config.server_url.rstrip("/") + "/v1/detect"
         self.watch_dir = config.watch_dir
         self.processed_dir = os.path.join(config.watch_dir, PROCESSED_DIRNAME)
         self.failed_dir = os.path.join(config.watch_dir, FAILED_DIRNAME)
@@ -89,20 +92,27 @@ class Agent:
         self._stop = threading.Event()
         #: What the agent did, printed as its summary at exit.
         self.counts = dict.fromkeys(("shipped", "rejected", "gave_up", "retried", "reconnected"), 0)
-        self._route(urllib.parse.urlsplit(self.endpoint))
-        self._conn: http.client.HTTPConnection | None = None
-        self._opened_in_pass = False
+        self._connected_in_pass = False
 
-    def _route(self, url: urllib.parse.SplitResult) -> None:
-        """Where to connect and what to send, with or without a proxy."""
+    def _route(self, server_url: str) -> None:
+        """Check that the server is ``http(s)://host[:port]``, with or without a
+        trailing slash, and make the connection to it, or to its proxy."""
+        try:
+            url = urllib.parse.urlsplit(server_url)
+            url.port  # raises ValueError for a port outside 0-65535
+        except ValueError:
+            url = urllib.parse.urlsplit("")  # no scheme: refused below
+        if not (url.scheme in ("http", "https") and url.hostname is not None
+                and "@" not in url.netloc and url.path in ("", "/")
+                and not url.query and not url.fragment):
+            raise BindFailure(f"agent server must be http(s)://host[:port], got {server_url!r}")
         https = url.scheme == "https"
-        self._connection_class = http.client.HTTPSConnection if https else http.client.HTTPConnection
-        self._address = (url.hostname, url.port)
-        self._target = url.path
+        connection_class = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        self._target = _DETECT_PATH
         self._headers = {"Content-Type": "application/json"}
-        self._tunnel = None
         proxy = urllib.request.getproxies().get(url.scheme)
         if not proxy or urllib.request.proxy_bypass(url.netloc):
+            self._conn = connection_class(url.hostname, url.port, timeout=REQUEST_TIMEOUT_S)
             return
         proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
         auth = {}
@@ -110,9 +120,9 @@ class Agent:
             user, password = map(urllib.parse.unquote, (proxy_url.username, proxy_url.password))
             token = base64.b64encode(f"{user}:{password}".encode()).decode("ascii")
             auth["Proxy-Authorization"] = "Basic " + token
-        self._address = (proxy_url.hostname, proxy_url.port)
+        self._conn = connection_class(proxy_url.hostname, proxy_url.port, timeout=REQUEST_TIMEOUT_S)
         if https:
-            self._tunnel = (url.hostname, url.port, auth)
+            self._conn.set_tunnel(url.hostname, url.port, auth)  # kept across close()
         else:
             self._target = self.endpoint
             self._headers.update(auth)
@@ -120,45 +130,31 @@ class Agent:
     def stop(self) -> None:
         self._stop.set()
 
-    def _open(self) -> None:
-        if self._opened_in_pass:
-            self.counts["reconnected"] += 1
-        self._opened_in_pass = True
-        self._conn = self._connection_class(*self._address, timeout=REQUEST_TIMEOUT_S)
-        if self._tunnel is not None:
-            self._conn.set_tunnel(*self._tunnel)
-
-    def _close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
-
     def _exchange(self, body: bytes) -> http.client.HTTPResponse:
         """Send the POST and read the response's head, on the kept connection
         if there is one; a kept connection found closed is replaced once."""
-        kept = self._conn is not None
-        if not kept:
-            self._open()
-        try:
-            self._conn.request("POST", self._target, body, self._headers)
-            return self._conn.getresponse()
-        except _STALE:
-            if not kept:
-                raise
-        self._close()
-        self._open()
-        self._conn.request("POST", self._target, body, self._headers)
-        return self._conn.getresponse()
+        while True:  # at most twice: the second try is on a new connection
+            kept = self._conn.sock is not None
+            if not kept:  # this request connects
+                self.counts["reconnected"] += self._connected_in_pass
+                self._connected_in_pass = True
+            try:
+                self._conn.request("POST", self._target, body, self._headers)
+                return self._conn.getresponse()
+            except _STALE:
+                if not kept:
+                    raise
+                self._conn.close()
 
     def _post_once(self, body: bytes) -> tuple[str, dict]:
         """One POST attempt; returns (outcome, response payload)."""
         try:
             response = self._exchange(body)
             data = response.read(_MAX_ERROR_BODY)
-            if response.will_close or not response.isclosed():
-                self._close()  # the server closes, or a body is left unread
+            if not response.isclosed():
+                self._conn.close()  # a body is left unread
         except (OSError, http.client.HTTPException, ValueError) as exc:
-            self._close()
+            self._conn.close()
             return _Outcome.RETRYABLE, {"detail": str(exc)}
         if 200 <= response.status < 300:
             try:
@@ -249,13 +245,13 @@ class Agent:
                         return
                     self._dispatch(name)
                 if not pending:
-                    self._close()  # the pass is over: hold no idle connection
-                    self._opened_in_pass = False
+                    self._conn.close()  # the pass is over: hold no idle connection
+                    self._connected_in_pass = False
                     if self.config.drain:
                         return
                     self._stop.wait(poll_s)
         finally:
-            self._close()
+            self._conn.close()
 
 
 def run_agent(config: AgentConfig) -> None:

@@ -23,7 +23,6 @@ import math
 import os
 import sys
 import traceback
-import urllib.parse
 
 # memlog calls no BLAS routine, but importing numpy starts OpenBLAS's worker
 # threads, whose idle spin takes the core that train's negative draws use;
@@ -61,46 +60,26 @@ _EXIT_CODES = (
 )
 
 
-def _unit_interval(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
-    return value
+def _number(kind, rule: str, holds):
+    """An argparse type: ``kind(text)``, refused with "must be {rule}" unless ``holds``."""
+
+    def convert(text: str):
+        value = kind(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    convert.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return convert
 
 
-def _open_unit_interval(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
-
-
-def _non_negative_float(text: str) -> float:
-    value = float(text)
-    if not (value >= 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return value
+# each test is False for NaN; the last two are False for infinities too
+_unit_interval = _number(float, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_open_unit_interval = _number(float, "in (0, 1)", lambda v: 0.0 < v < 1.0)
+_positive_int = _number(int, ">= 1", lambda v: v >= 1)
+_non_negative_int = _number(int, ">= 0", lambda v: v >= 0)
+_positive_float = _number(float, "finite and > 0", lambda v: 0.0 < v < math.inf)
+_non_negative_float = _number(float, "finite and >= 0", lambda v: 0.0 <= v < math.inf)
 
 
 def _output_path(text: str) -> str:
@@ -135,20 +114,6 @@ def _bind_address(text: str) -> tuple[str, int]:
     if not host or not port.isdigit() or int(port) > 65535:
         raise argparse.ArgumentTypeError(f"expected host:port, port 0-65535, got {text!r}")
     return host, int(port)
-
-
-def _is_server_url(text: str) -> bool:
-    """True for ``http(s)://host[:port]``, with or without a trailing slash."""
-    try:
-        parts = urllib.parse.urlsplit(text)
-        parts.port  # raises ValueError for a port outside 0-65535
-    except ValueError:
-        return False
-    return (
-        parts.scheme in ("http", "https") and parts.hostname is not None
-        and "@" not in parts.netloc and parts.path in ("", "/")
-        and not parts.query and not parts.fragment
-    )
 
 
 def _read_config(parser: argparse.ArgumentParser, path: str) -> dict[str, str]:
@@ -198,15 +163,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_labeled_vectors(corpus_dir: str, embeddings):
-    """Corpus dir -> (X, y) through a ready embedding model."""
+def _read_corpus(corpus_dir: str) -> list:
     from .synthgen import read_corpus
-    from .vectorizer import vectorize_corpus
 
     logs = read_corpus(corpus_dir)
     if not logs:
         raise EmptyCorpus(f"no logs found in {corpus_dir}")
-    return vectorize_corpus(logs, embeddings)
+    return logs
 
 
 def _validation_report(y_test, scores, threshold: float) -> dict:
@@ -227,13 +190,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .embedding import Hyperparams, build_vocab, save_embeddings, train_embeddings
     from .evaluation import SplitSpec, holdout_split
     from .gbdt import GbdtParams, predict, save_model, train_classifier
-    from .synthgen import read_corpus
     from .tokenizer import tokenize
     from .vectorizer import label_vector, vectorize_tokens
 
-    logs = read_corpus(args.corpus)
-    if not logs:
-        raise EmptyCorpus(f"no logs found in {args.corpus}")
+    logs = _read_corpus(args.corpus)
     y = label_vector(logs)
     # the split needs only the labels, so a corpus it refuses costs no training
     train_idx, test_idx = holdout_split(
@@ -274,9 +234,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     from .evaluation import SplitSpec, holdout_split, roc_points
     from .gbdt import predict
     from .service import load_detector
+    from .vectorizer import vectorize_corpus
 
     detector = load_detector(args.embeddings, args.model, args.threshold)
-    X, y = _load_labeled_vectors(args.corpus, detector.embeddings)
+    X, y = vectorize_corpus(_read_corpus(args.corpus), detector.embeddings)
     if args.replay_split:
         _, test_idx = holdout_split(
             y, SplitSpec(train_malicious_fraction=args.train_fraction, shuffle_seed=args.seed)
@@ -336,8 +297,6 @@ def cmd_agent(args: argparse.Namespace) -> int:
     server_url = resolve_server(args.server_url or "")
     if not server_url:
         raise BindFailure("agent requires --server, config key server_url, or MEMLOG_SERVER")
-    if not _is_server_url(server_url):
-        raise BindFailure(f"agent server must be http(s)://host[:port], got {server_url!r}")
     run_agent(
         AgentConfig(
             watch_dir=args.watch_dir,

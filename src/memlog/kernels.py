@@ -32,7 +32,9 @@ element-wise updates, and every sum stays sequential), into
 ``$XDG_CACHE_HOME/memlog`` (default ``~/.cache/memlog``) under a file name
 keyed by the SHA-256 of the source, the flags and the machine; the
 compiler writes a temporary file that is then renamed into place.  A
-compiler that fails raises :class:`RuntimeError`.
+compiler that fails raises :class:`RuntimeError`.  Each load refreshes
+its build's mtime, and each build deletes all but the four most recently
+built or loaded libraries.
 
 The trainer sorts each feature column once per fit, and the split search
 scans all features of a node in one pass over that order, which each
@@ -42,6 +44,7 @@ never builds or loads the library.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import math
@@ -322,6 +325,8 @@ def predict_margin(forest, rows, base, shrinkage):
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native.c")
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _LDLIBS = ("-lm",)
+#: Builds the cache keeps, so that a few sources in use never rebuild.
+_KEPT_BUILDS = 4
 
 
 def _library_path() -> str:
@@ -360,6 +365,17 @@ def _build(path: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    _prune(directory)
+
+
+def _prune(directory: str) -> None:
+    """Delete all but the ``_KEPT_BUILDS`` builds most recently built or loaded."""
+    import glob  # here: every process that scores logs imports this module, and none builds
+
+    with contextlib.suppress(FileNotFoundError):  # a concurrent build prunes too
+        builds = sorted(glob.glob(os.path.join(directory, "_native-*.so")), key=os.path.getmtime)
+        for old in builds[:-_KEPT_BUILDS]:
+            os.unlink(old)
 
 
 def _native():
@@ -369,9 +385,12 @@ def _native():
         with _lib_lock:
             if _lib is None:
                 path = _library_path()
-                if not os.path.exists(path):
+                try:
+                    os.utime(path)  # a load counts as a use, which pruning keeps
+                    _lib = _load(path)
+                except OSError:  # not built yet, or pruned since by another build
                     _build(path)
-                _lib = _load(path)
+                    _lib = _load(path)
     return _lib
 
 

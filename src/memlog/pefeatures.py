@@ -11,7 +11,7 @@ a data directory is malformed; a bad directory never fails the parse.
 from __future__ import annotations
 
 import logging
-import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,22 +71,11 @@ def shannon_entropy(data: bytes) -> float:
     return min(max(value, 0.0), 8.0)
 
 
-def _u16(data: bytes, offset: int, err=TruncatedHeader) -> int:
-    if offset < 0 or offset + 2 > len(data):
-        raise err(f"read of 2 bytes at {offset} is out of bounds")
-    return struct.unpack_from("<H", data, offset)[0]
-
-
-def _u32(data: bytes, offset: int, err=TruncatedHeader) -> int:
-    if offset < 0 or offset + 4 > len(data):
-        raise err(f"read of 4 bytes at {offset} is out of bounds")
-    return struct.unpack_from("<I", data, offset)[0]
-
-
-def _u64(data: bytes, offset: int, err=TruncatedHeader) -> int:
-    if offset < 0 or offset + 8 > len(data):
-        raise err(f"read of 8 bytes at {offset} is out of bounds")
-    return struct.unpack_from("<Q", data, offset)[0]
+def _uint(data: bytes, offset: int, size: int, err=TruncatedHeader) -> int:
+    """The little-endian unsigned integer of ``size`` bytes at ``offset``."""
+    if offset < 0 or offset + size > len(data):
+        raise err(f"read of {size} bytes at {offset} is out of bounds")
+    return int.from_bytes(data[offset:offset + size], "little")
 
 
 def _cstring(data: bytes, offset: int, err=BadDataDirectory) -> str:
@@ -98,20 +87,15 @@ def _cstring(data: bytes, offset: int, err=BadDataDirectory) -> str:
     return data[offset:end].decode("latin-1")
 
 
-class _Section:
-    __slots__ = ("info", "virtual_address", "raw_pointer", "raw_size", "virtual_size")
-
-    def __init__(self, info: SectionInfo, virtual_address: int, raw_pointer: int):
-        self.info = info
-        self.virtual_address = virtual_address
-        self.raw_pointer = raw_pointer
-        self.raw_size = info.raw_size
-        self.virtual_size = info.virtual_size
+class _Section(NamedTuple):
+    info: SectionInfo
+    virtual_address: int
+    raw_pointer: int
 
 
 def _rva_to_offset(sections: list[_Section], rva: int, image_size: int, err=BadDataDirectory) -> int:
     for s in sections:
-        span = max(s.virtual_size, s.raw_size)
+        span = max(s.info.virtual_size, s.info.raw_size)
         if s.virtual_address <= rva < s.virtual_address + span:
             return rva - s.virtual_address + s.raw_pointer
     # Header region is mapped as-is before the first section.
@@ -127,11 +111,11 @@ def _parse_sections(image: bytes, table_offset: int, count: int) -> list[_Sectio
     for i in range(count):
         off = table_offset + i * SECTION_HEADER_SIZE
         name = image[off:off + 8].rstrip(b"\x00").decode("latin-1")
-        virtual_size = _u32(image, off + 8, MalformedSectionTable)
-        virtual_address = _u32(image, off + 12, MalformedSectionTable)
-        raw_size = _u32(image, off + 16, MalformedSectionTable)
-        raw_pointer = _u32(image, off + 20, MalformedSectionTable)
-        characteristics = _u32(image, off + 36, MalformedSectionTable)
+        virtual_size = _uint(image, off + 8, 4, MalformedSectionTable)
+        virtual_address = _uint(image, off + 12, 4, MalformedSectionTable)
+        raw_size = _uint(image, off + 16, 4, MalformedSectionTable)
+        raw_pointer = _uint(image, off + 20, 4, MalformedSectionTable)
+        characteristics = _uint(image, off + 36, 4, MalformedSectionTable)
         if raw_size > 0 and raw_pointer + raw_size > len(image):
             raise MalformedSectionTable(f"section {i} raw data extends past the image")
         info = SectionInfo(
@@ -150,21 +134,20 @@ def _read_directory(image: bytes, opt_offset: int, opt_size: int, magic: int, in
     count_offset = dirs_offset - 4
     if count_offset + 4 > opt_size:
         return 0, 0
-    count = _u32(image, opt_offset + count_offset)
+    count = _uint(image, opt_offset + count_offset, 4)
     if index >= count:
         return 0, 0
     entry = dirs_offset + index * 8
     if entry + 8 > opt_size:
         return 0, 0
-    rva = _u32(image, opt_offset + entry)
-    size = _u32(image, opt_offset + entry + 4)
+    rva = _uint(image, opt_offset + entry, 4)
+    size = _uint(image, opt_offset + entry + 4, 4)
     return rva, size
 
 
 def _walk_imports(image: bytes, sections: list[_Section], rva: int, magic: int) -> tuple[int, list[str]]:
     ordinal_flag = ORDINAL_FLAG_PE32 if magic == PE32_MAGIC else ORDINAL_FLAG_PE32PLUS
     thunk_size = 4 if magic == PE32_MAGIC else 8
-    read_thunk = _u32 if magic == PE32_MAGIC else _u64
 
     count = 0
     names: list[str] = []
@@ -175,13 +158,13 @@ def _walk_imports(image: bytes, sections: list[_Section], rva: int, magic: int) 
             raise BadDataDirectory("import descriptor is truncated")
         if descriptor == b"\x00" * IMPORT_DESCRIPTOR_SIZE:
             break
-        original_first_thunk = _u32(image, desc_offset, BadDataDirectory)
-        first_thunk = _u32(image, desc_offset + 16, BadDataDirectory)
+        original_first_thunk = _uint(image, desc_offset, 4, BadDataDirectory)
+        first_thunk = _uint(image, desc_offset + 16, 4, BadDataDirectory)
         thunk_rva = original_first_thunk or first_thunk
         if thunk_rva:
             thunk_offset = _rva_to_offset(sections, thunk_rva, len(image))
             while True:
-                entry = read_thunk(image, thunk_offset, BadDataDirectory)
+                entry = _uint(image, thunk_offset, thunk_size, BadDataDirectory)
                 if entry == 0:
                     break
                 count += 1
@@ -199,10 +182,10 @@ def _walk_imports(image: bytes, sections: list[_Section], rva: int, magic: int) 
 
 def _walk_exports(image: bytes, sections: list[_Section], rva: int) -> tuple[int, list[str], str]:
     offset = _rva_to_offset(sections, rva, len(image))
-    name_rva = _u32(image, offset + 12, BadDataDirectory)
-    function_count = _u32(image, offset + 20, BadDataDirectory)
-    name_count = _u32(image, offset + 24, BadDataDirectory)
-    names_rva = _u32(image, offset + 32, BadDataDirectory)
+    name_rva = _uint(image, offset + 12, 4, BadDataDirectory)
+    function_count = _uint(image, offset + 20, 4, BadDataDirectory)
+    name_count = _uint(image, offset + 24, 4, BadDataDirectory)
+    names_rva = _uint(image, offset + 32, 4, BadDataDirectory)
 
     module_name = ""
     if name_rva:
@@ -211,7 +194,7 @@ def _walk_exports(image: bytes, sections: list[_Section], rva: int) -> tuple[int
     if name_count:
         table_offset = _rva_to_offset(sections, names_rva, len(image))
         for i in range(min(name_count, DEFAULT_NAME_CAP)):
-            entry_rva = _u32(image, table_offset + i * 4, BadDataDirectory)
+            entry_rva = _uint(image, table_offset + i * 4, 4, BadDataDirectory)
             names.append(_cstring(image, _rva_to_offset(sections, entry_rva, len(image))))
     return function_count, names, module_name
 
@@ -221,9 +204,9 @@ def _find_pdb_path(image: bytes, sections: list[_Section], rva: int, size: int) 
     offset = _rva_to_offset(sections, rva, len(image))
     for i in range(entry_count):
         entry = offset + i * DEBUG_DIRECTORY_ENTRY_SIZE
-        if _u32(image, entry + 12, BadDataDirectory) != DEBUG_TYPE_CODEVIEW:
+        if _uint(image, entry + 12, 4, BadDataDirectory) != DEBUG_TYPE_CODEVIEW:
             continue
-        data_pointer = _u32(image, entry + 24, BadDataDirectory)
+        data_pointer = _uint(image, entry + 24, 4, BadDataDirectory)
         if image[data_pointer:data_pointer + 4] != CODEVIEW_RSDS:
             continue
         # RSDS record: magic, 16-byte GUID, 4-byte age, then the path.
@@ -246,7 +229,7 @@ def parse_pe(image: bytes) -> PeBlock:
     if len(image) < DOS_HEADER_SIZE:
         raise TruncatedHeader(f"DOS header needs {DOS_HEADER_SIZE} bytes, image has {len(image)}")
 
-    e_lfanew = _u32(image, E_LFANEW_OFFSET)
+    e_lfanew = _uint(image, E_LFANEW_OFFSET, 4)
     if e_lfanew + 4 > len(image):
         raise TruncatedHeader("e_lfanew points past the image")
     if image[e_lfanew:e_lfanew + 4] != PE_SIGNATURE:
@@ -255,11 +238,11 @@ def parse_pe(image: bytes) -> PeBlock:
     coff = e_lfanew + 4
     if coff + COFF_HEADER_SIZE > len(image):
         raise TruncatedHeader("COFF header is truncated")
-    machine = _u16(image, coff)
-    section_count = _u16(image, coff + 2)
-    compile_timestamp = _u32(image, coff + 4)
-    optional_size = _u16(image, coff + 16)
-    characteristics = _u16(image, coff + 18)
+    machine = _uint(image, coff, 2)
+    section_count = _uint(image, coff + 2, 2)
+    compile_timestamp = _uint(image, coff + 4, 4)
+    optional_size = _uint(image, coff + 16, 2)
+    characteristics = _uint(image, coff + 18, 2)
 
     if machine == IMAGE_FILE_MACHINE_I386:
         arch = Arch.X86
@@ -271,7 +254,7 @@ def parse_pe(image: bytes) -> PeBlock:
     opt_offset = coff + COFF_HEADER_SIZE
     if optional_size < 20 or opt_offset + optional_size > len(image):
         raise TruncatedHeader("optional header is truncated")
-    magic = _u16(image, opt_offset)
+    magic = _uint(image, opt_offset, 2)
     if magic == PE32_MAGIC:
         pe_type = PeType.PE32
         expected = Arch.X86
@@ -282,7 +265,7 @@ def parse_pe(image: bytes) -> PeBlock:
         raise BadPeSignature(f"unsupported optional-header magic 0x{magic:04x}")
     if arch is not expected:
         raise BadPeSignature(f"machine 0x{machine:04x} contradicts optional-header magic 0x{magic:04x}")
-    entry_point_rva = _u32(image, opt_offset + 16)
+    entry_point_rva = _uint(image, opt_offset + 16, 4)
 
     sections = _parse_sections(image, opt_offset + optional_size, section_count)
 

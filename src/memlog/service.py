@@ -19,13 +19,14 @@ import contextlib
 import hashlib
 import json
 import logging
+import selectors
 import signal
 import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from socket import SHUT_RD
+from socket import SHUT_RD, socketpair
 from typing import Optional
 
 from .embedding import EMBEDDING_DIM, EmbeddingModel, load_embeddings
@@ -291,21 +292,27 @@ def serve_until_signal(server: DetectorServer, on_ready=None) -> None:
 
     ``on_ready`` fires after the signal handlers are installed, so an
     announcement printed there is a reliable cue that a signal will be
-    honoured.
+    honoured.  A signal wakes the loop through ``signal.set_wakeup_fd``,
+    whichever thread receives it, so the drain starts at once.
     """
-
-    def _stop(signum, frame) -> None:
-        # shutdown() deadlocks if called from the serve_forever thread
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
+    wake, waker = socketpair()
+    waker.setblocking(False)
     previous = {}
     for sig in (signal.SIGTERM, signal.SIGINT):
-        previous[sig] = signal.signal(sig, _stop)
+        previous[sig] = signal.signal(sig, lambda signum, frame: None)
+    previous_fd = signal.set_wakeup_fd(waker.fileno())
     try:
         if on_ready is not None:
             on_ready()
-        server.serve_forever()
+        with selectors.DefaultSelector() as selector:
+            selector.register(server, selectors.EVENT_READ)
+            selector.register(wake, selectors.EVENT_READ)
+            while all(key.fileobj is server for key, _ in selector.select()):
+                server.handle_request()
     finally:
+        signal.set_wakeup_fd(previous_fd)  # before its socket closes and the number is reused
+        wake.close()
+        waker.close()
         server.server_close()
         for sig, handler in previous.items():
             signal.signal(sig, handler)

@@ -1,4 +1,5 @@
-"""benchmarks/bench_train.py: runs end to end at a tiny size and prints every stage."""
+"""benchmarks/bench_train.py: runs end to end at a tiny size and prints every stage;
+its sequential skip-gram copy must end at ``train_embeddings``' vectors, or it exits non-zero."""
 import os
 import re
 import subprocess

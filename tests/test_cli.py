@@ -1,20 +1,29 @@
 """Command-line interface: exit codes, determinism, and report parity.
 
-Everything here runs the installed entry point in a subprocess, so these
-tests cover argument parsing, config layering, and error mapping exactly
-as a shell user sees them.
+Apart from the parser defaults, everything here runs the installed entry
+point in a subprocess, so these tests cover argument parsing, config
+layering, and error mapping exactly as a shell user sees them.
 """
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import signal
 import subprocess
 import sys
+import time
 import urllib.request
 
 import numpy as np
 import pytest
+
+from memlog.agent import AgentConfig
+from memlog.cli import build_parser
+from memlog.embedding import Hyperparams, build_vocab
+from memlog.evaluation import SplitSpec
+from memlog.gbdt import DEFAULT_THRESHOLD, GbdtParams
+from memlog.synthgen import GenSpec
 
 CLI = [sys.executable, "-m", "memlog.cli"]
 
@@ -256,6 +265,63 @@ class TestParsing:
         assert result.returncode == 2, result.stderr
         assert "--out" in result.stderr and "Traceback" not in result.stderr
         assert target.read_text() == "kept" and list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize("args, message", [
+        (("gen", "--overlap", "1.5"), "argument --overlap: must be in [0, 1], got 1.5"),
+        (("predict", "--threshold", "1"), "argument --threshold: must be in (0, 1), got 1"),
+        (("train", "--trees", "0"), "argument --trees: must be >= 1, got 0"),
+        (("gen", "--seed", "-1"), "argument --seed: must be >= 0, got -1"),
+        (("train", "--lr", "inf"), "argument --lr: must be finite and > 0, got inf"),
+        (("train", "--lambda", "nan"), "argument --lambda: must be finite and >= 0, got nan"),
+    ])
+    def test_each_number_type_refuses_its_bad_values(self, args, message):
+        result = run_cli(*args)
+        assert result.returncode == 2, result.stderr
+        assert message in result.stderr and "Traceback" not in result.stderr
+
+
+class TestParserDefaults:
+    """Each flag's default is the default of the setting it feeds, so the
+    CLI and code that builds the settings records run the same pipeline."""
+
+    @staticmethod
+    def parse(*argv):
+        return build_parser().parse_args([str(arg) for arg in argv])
+
+    def test_gen(self, tmp_path):
+        args = self.parse("gen", "--out", tmp_path / "c")
+        spec = GenSpec(args.malicious, args.benign, overlap=args.overlap, seed=args.seed,
+                       n_os_versions=args.os_versions, n_exe_names=args.exe_names,
+                       n_module_pool=args.module_pool, n_malware_families=args.families)
+        assert spec == GenSpec(args.malicious, args.benign)
+
+    def test_train(self, tmp_path):
+        args = self.parse("train", "--corpus", tmp_path)
+        assert Hyperparams(window=args.window, negatives=args.negatives, epochs=args.epochs,
+                           initial_lr=args.lr, seed=args.seed) == Hyperparams()
+        assert GbdtParams(trees=args.trees, max_depth=args.depth, shrinkage=args.shrinkage,
+                          lambda_=args.lambda_, min_leaf=args.min_leaf) == GbdtParams()
+        assert SplitSpec(args.train_fraction, args.seed) == SplitSpec()
+        assert args.min_count == inspect.signature(build_vocab).parameters["min_count"].default
+        assert args.threshold == DEFAULT_THRESHOLD
+
+    def test_evaluate(self, tmp_path):
+        args = self.parse("evaluate", "--corpus", tmp_path, "--embeddings", "e", "--model", "m")
+        assert SplitSpec(args.train_fraction, args.seed) == SplitSpec()
+        assert args.threshold == DEFAULT_THRESHOLD
+
+    def test_predict_and_serve(self):
+        args = self.parse("predict", "--log", "l", "--embeddings", "e", "--model", "m")
+        assert args.threshold == DEFAULT_THRESHOLD
+        assert self.parse("serve").threshold == DEFAULT_THRESHOLD
+
+    def test_agent(self):
+        args = self.parse("agent")
+        config = AgentConfig("w", "s", poll_interval_ms=args.poll_interval_ms,
+                             max_attempts=args.max_attempts,
+                             backoff_base_ms=args.backoff_base_ms, drain=args.drain)
+        assert config == AgentConfig("w", "s")
+
 
 class TestGen:
     def test_deterministic_output(self, tmp_path):
@@ -584,6 +650,28 @@ class TestServe:
         finally:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=30) == 0
+
+    def test_sigterm_stops_at_once(self, workspace):
+        # the drain starts when the signal arrives, not when the accept loop next looks
+        stops = []
+        for delay in (0.05, 0.15, 0.25, 0.35, 0.45):
+            proc = subprocess.Popen(
+                [*CLI, "serve", "--bind", "127.0.0.1:0",
+                 "--embeddings", str(workspace["embeddings"]),
+                 "--model", str(workspace["model"])],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            )
+            try:
+                assert proc.stderr.readline().startswith("listening on ")
+                time.sleep(delay)
+                start = time.monotonic()
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=30) == 0
+                stops.append(time.monotonic() - start)
+            finally:
+                proc.kill()
+                proc.wait()
+        assert max(stops) < 0.2, stops
 
     def test_missing_model_fails_before_binding(self, workspace, tmp_path):
         result = run_cli("serve", "--bind", "127.0.0.1:0",

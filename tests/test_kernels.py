@@ -147,6 +147,58 @@ def test_native_source_compiles_cleanly_as_c11(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.skipif(kernels._COMPILER is None, reason="no C compiler on PATH")
+class TestBuildCache:
+    @pytest.fixture()
+    def cache(self, tmp_path, monkeypatch):
+        """An empty cache directory that ``_native`` builds into and loads from."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(kernels, "_lib", None)
+        (tmp_path / "memlog").mkdir()
+        return tmp_path / "memlog"
+
+    @staticmethod
+    def stale_builds(cache, count):
+        """Fake builds of other sources, oldest first, all older than this test."""
+        paths = [cache / f"_native-{i:016x}.so" for i in range(count)]
+        for i, path in enumerate(paths):
+            path.write_bytes(b"stale")
+            os.utime(path, (1e9 + i, 1e9 + i))
+        return paths
+
+    def test_a_build_keeps_the_four_most_recent(self, cache):
+        stale = self.stale_builds(cache, 6)
+        (cache / "notes.txt").write_text("not a build")
+        assert kernels._native() is not None
+        built = Path(kernels._library_path())
+        assert sorted(cache.iterdir()) == sorted([built, *stale[-3:], cache / "notes.txt"])
+
+    def test_a_load_refreshes_its_build_so_pruning_keeps_it(self, cache, monkeypatch):
+        kernels._native()
+        built = Path(kernels._library_path())
+        os.utime(built, (1e8, 1e8))  # built before every stale build ...
+        monkeypatch.setattr(kernels, "_lib", None)
+        kernels._native()  # ... and loaded now
+        stale = self.stale_builds(cache, 4)
+        kernels._prune(str(cache))
+        assert sorted(cache.iterdir()) == sorted([built, *stale[1:]])
+
+    def test_a_build_pruned_before_its_load_is_built_again(self, cache, monkeypatch):
+        built = Path(kernels._library_path())
+        kernels._build(str(built))
+        load, loads = kernels._load, []
+
+        def pruned_first(path):
+            if not loads:  # another process's build deletes it between the check and the load
+                os.unlink(path)
+            loads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(kernels, "_load", pruned_first)
+        assert kernels._native() is not None
+        assert loads == [str(built)] * 2 and built.exists()
+
+
 class TestSplitParity:
     def test_numpy_matches_exhaustive_oracle(self):
         cases = [(*split_inputs(seed), leaf) for seed in range(20) for leaf in (1, 5, 20)]
