@@ -13,8 +13,6 @@ on one root node.  Last comes the fit of a whole forest with each grower.
 import argparse
 import time
 
-import numpy as np
-
 from memlog import kernels
 from memlog.embedding import (
     Hyperparams,
@@ -26,6 +24,8 @@ from memlog.gbdt import GbdtParams, train_classifier
 from memlog.synthgen import GenSpec, generate_corpus
 from memlog.tokenizer import tokenize
 from memlog.vectorizer import vectorize_corpus
+
+import numpy as np  # noqa: E402  (after memlog, which limits OpenBLAS to one thread)
 
 
 def best_of(fn, repeats):

@@ -22,8 +22,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from memlog import cli  # first: it limits OpenBLAS to one thread before numpy loads
-from memlog import kernels
+from memlog import cli, kernels
 from memlog.embedding import (
     EMBEDDING_DIM,
     LR_FLOOR_FRACTION,
@@ -39,7 +38,7 @@ from memlog.synthgen import GenSpec, generate_corpus, read_corpus, write_corpus
 from memlog.tokenizer import tokenize
 from memlog.vectorizer import label_vector, vectorize_tokens
 
-import numpy as np  # noqa: E402  (after memlog.cli, for the OpenBLAS default)
+import numpy as np  # noqa: E402  (after memlog, which limits OpenBLAS to one thread)
 
 OVERLAP = 0.5
 

@@ -11,7 +11,15 @@ command line.
 
 Submodules are imported explicitly by callers.  The package root stays
 import-light so that the directory-watching agent, which runs inside a
-tight memory budget, never pulls in the numeric stack.
+tight memory budget, never pulls in the numeric stack.  It sets
+``OPENBLAS_NUM_THREADS=1`` unless a non-empty value is already set, so a
+process that imports memlog before numpy starts no OpenBLAS worker.
 """
+import os
 
 __version__ = "0.1.0"
+
+# memlog calls no BLAS routine, but an idle OpenBLAS worker spins on the core
+# that train's negative draws use; an empty value would start the default threads
+if not os.environ.get("OPENBLAS_NUM_THREADS"):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"

@@ -8,7 +8,8 @@ retries to ``failed/``.  Verdicts append to ``detections.jsonl`` in the
 watch directory, one JSON object per line with the source filename.
 
 Retryable failures (connection errors, 5xx) back off exponentially:
-backoff_base_ms * 2^(attempt-1) between attempts.  4xx responses are
+backoff_base_ms * 2^(attempt-1) between attempts.  A stop ends the wait at
+once and leaves the file in the watch directory.  4xx responses are
 permanent; the file is quarantined without retry.
 
 A pass over the backlog keeps one HTTP/1.1 connection alive, from its
@@ -30,7 +31,6 @@ import logging
 import os
 import signal
 import threading
-import time
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
@@ -227,9 +227,10 @@ class Agent:
                 self._move(name, self.failed_dir)
                 self.counts["rejected"] += 1
                 return
-            if attempt < config.max_attempts and not self._stop.is_set():
+            if attempt < config.max_attempts:
                 delay_s = config.backoff_base_ms * (2 ** (attempt - 1)) / 1000.0
-                time.sleep(delay_s)
+                if self._stop.wait(delay_s):
+                    return  # stopped: the file waits for the next run
         logger.warning("gave up on %s after %d attempts", name, config.max_attempts)
         self._move(name, self.failed_dir)
         self.counts["gave_up"] += 1

@@ -17,10 +17,16 @@ e + 1's while the compiled epoch e runs, which releases the GIL.  The
 matrix init is drawn first and each epoch's negatives after it, one
 epoch at a time, so the stream is consumed in the same order as a
 sequential loop and every drawn integer is the same.
+
+:class:`Vocabulary` is where a token becomes an id, for training and for
+pooling alike: :meth:`Vocabulary.ids` looks up a token list, and
+:meth:`Vocabulary.snapshot_ids` the hex words of a stack snapshot, which
+it matches as integers without making them as strings.
 """
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -34,7 +40,7 @@ from .errors import (
     VersionMismatch,
     VocabMismatch,
 )
-from .tokenizer import GroupedTokens
+from .tokenizer import GroupedTokens, word_count
 
 EMBEDDING_DIM = 32
 EMBEDDINGS_MAGIC = b"MLEB"
@@ -49,11 +55,16 @@ LR_FLOOR_FRACTION = 1e-4
 #: The digits of a hex word as ``tokenizer.hex_words`` writes them.
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
+#: Knuth's multiplier and the shift to the top half of a 32-bit product,
+#: made once: a numpy scalar costs about as much as a ufunc call on a short
+#: snapshot.
+_KNUTH, _HALF = np.uint32(0x9E3779B1), np.uint32(16)
+
 
 def _word_bucket(words: np.ndarray) -> np.ndarray:
     """One of 2^16 hash buckets per ``uint32`` word: the top half of its
     product with Knuth's multiplier, modulo 2^32."""
-    return (words * np.uint32(0x9E3779B1)) >> np.uint32(16)
+    return (words * _KNUTH) >> _HALF
 
 
 @dataclass
@@ -76,31 +87,38 @@ class Vocabulary:
             raise VocabMismatch("vocabulary contains duplicate tokens")
         if len(self.tokens) != len(self.frequencies):
             raise VocabMismatch("token and frequency lists differ in length")
-        # the tokens a full 4-byte hex word can equal, as sorted integers with
-        # their ids, and the hash buckets that hold one of them
-        words = sorted(
-            (int(tok, 16), i) for tok, i in self.index.items()
+        # the tokens a full 4-byte hex word can equal, as the uint32 their
+        # bytes read as in machine order (as snapshot_ids reads a snapshot),
+        # to their ids, and the hash buckets that hold one of them
+        self._word_ids = {
+            int.from_bytes(bytes.fromhex(tok), sys.byteorder): i for tok, i in self.index.items()
             if len(tok) == 8 and _HEX_DIGITS.issuperset(tok)
-        )
-        self._word_values = np.array([value for value, _ in words], dtype=np.uint32)
-        self._word_ids = np.array([i for _, i in words], dtype=np.intp)
+        }
         self._word_buckets = np.zeros(1 << 16, dtype=bool)
-        self._word_buckets[_word_bucket(self._word_values)] = True
+        self._word_buckets[_word_bucket(np.array(list(self._word_ids), dtype=np.uint32))] = True
 
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def hex_word_ids(self, words: np.ndarray) -> list[int]:
-        """The ids of the ``uint32`` ``words`` whose 8-digit hex token is in
-        the vocabulary, in word order.  A word's hash bucket rules most words
-        out, and a binary search matches the rest exactly."""
-        words = words[self._word_buckets[_word_bucket(words)]]
-        slots = np.searchsorted(self._word_values, words)
-        np.minimum(slots, len(self._word_values) - 1, out=slots)
-        return self._word_ids[slots[self._word_values[slots] == words]].tolist()
+    def ids(self, tokens: Iterable[str]) -> list[int]:
+        """The ids of the in-vocabulary ``tokens``, in token order."""
+        index = self.index
+        return [index[t] for t in tokens if t in index]
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
+    def snapshot_ids(self, snapshot: bytes) -> tuple[list[int], int]:
+        """``self.ids(hex_words(snapshot))`` and the number of words, without
+        making the words: the full 4-byte words are read as ``uint32`` in
+        machine byte order, a word's hash bucket rules most of them out, and
+        the rest are looked up as integers.  Only a short tail word is looked
+        up as a string."""
+        full = len(snapshot) // 4
+        words = np.frombuffer(snapshot, dtype=np.uint32, count=full)
+        word_ids = self._word_ids
+        candidates = words[self._word_buckets[_word_bucket(words)]].tolist()
+        ids = [word_ids[w] for w in candidates if w in word_ids]
+        if tail := snapshot[4 * full:]:
+            ids += self.ids([tail.hex()])
+        return ids, word_count(snapshot)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vocabulary):
@@ -158,10 +176,9 @@ def _sentences(corpus: Iterable[GroupedTokens], vocab: Vocabulary) -> tuple[np.n
     """
     ids: list[int] = []
     offsets: list[int] = [0]
-    index = vocab.index
     for grouped in corpus:
         for group in grouped:
-            sentence = [index[t] for t in group if t in index]
+            sentence = vocab.ids(group)
             if len(sentence) >= 2:
                 ids.extend(sentence)
                 offsets.append(len(ids))
@@ -188,10 +205,8 @@ def train_embeddings(
         raise VocabMismatch("vocabulary is empty")
 
     ids, offsets = _sentences(corpus, vocab)
-    if ids.size == 0:
-        shared = any(t in vocab for grouped in corpus for group in grouped for t in group)
-        if not shared:
-            raise VocabMismatch("corpus shares no tokens with the vocabulary")
+    if ids.size == 0 and not any(vocab.ids(group) for grouped in corpus for group in grouped):
+        raise VocabMismatch("corpus shares no tokens with the vocabulary")
 
     rng = np.random.default_rng(hyperparams.seed)
     vin = ((rng.random((len(vocab), EMBEDDING_DIM), dtype=np.float32)) - 0.5) / EMBEDDING_DIM

@@ -257,15 +257,6 @@ class CleaningReport:
 # report is ``prefix + key`` and ``arg`` comes from the schema table.
 
 
-def _read_str(value, prefix: str, key: str, report: CleaningReport, _arg) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    report.dropped_fields.append(prefix + key)
-    return ""
-
-
 def _read_int(value, prefix: str, key: str, report: CleaningReport, _arg) -> int:
     if value is None:
         return 0
@@ -299,40 +290,11 @@ def _read_float(
     return value
 
 
-def _read_bool(value, prefix: str, key: str, report: CleaningReport, _arg) -> bool:
-    if value is None:
-        return False
-    if isinstance(value, bool):
-        return value
-    report.dropped_fields.append(prefix + key)
-    return False
-
-
-def _read_enum(value, prefix: str, key: str, report: CleaningReport, cls: type[Enum]):
-    if value is None:
-        return None
-    if isinstance(value, str):
-        try:
-            return cls(value.lower())
-        except ValueError:
-            pass
-    report.dropped_fields.append(prefix + key)
-    return None
-
-
 def _hex_scalar(value) -> Optional[str]:
     """Hex scalar ``value`` in canonical form 0x-lower, "" for "", else None."""
     if isinstance(value, str) and (value == "" or _HEX_RE.fullmatch(value)):
         return hex(int(value, 16)) if value else ""
     return None
-
-
-def _read_hex(value, prefix: str, key: str, report: CleaningReport, _arg) -> str:
-    """Hex scalar such as an address or flags word."""
-    out = "" if value is None else _hex_scalar(value)
-    if out is None:
-        report.dropped_fields.append(prefix + key)
-    return out or ""
 
 
 def _hex_bytes(value) -> Optional[bytes]:
@@ -349,15 +311,37 @@ def _hex_bytes(value) -> Optional[bytes]:
     return out if 2 * len(out) == len(value) else None
 
 
-def _read_bytes(value, prefix: str, key: str, report: CleaningReport, _arg) -> bytes:
-    """Byte string carried as plain hex (no 0x prefix, even digit count)."""
-    if value is None:
-        return b""
-    out = _hex_bytes(value)
-    if out is not None:
+def _enum_member(value, cls: type[Enum]):
+    """The member of ``cls`` whose value is ``value`` lowercased, else None."""
+    try:
+        return cls(value.lower()) if isinstance(value, str) else None
+    except ValueError:
+        return None
+
+
+def _reader(convert: Callable, empty) -> Callable:
+    """The reader of a scalar field: null reads as ``empty``, and a value that
+    ``convert(value, arg)`` refuses (returns None) is dropped and read as ``empty``."""
+
+    def read(value, prefix: str, key: str, report: CleaningReport, arg):
+        if value is None:
+            return empty
+        out = convert(value, arg)
+        if out is None:
+            report.dropped_fields.append(prefix + key)
+            return empty
         return out
-    report.dropped_fields.append(prefix + key)
-    return b""
+
+    return read
+
+
+_read_str = _reader(lambda value, _arg: value if isinstance(value, str) else None, "")
+_read_bool = _reader(lambda value, _arg: value if isinstance(value, bool) else None, False)
+_read_enum = _reader(_enum_member, None)
+#: A hex scalar such as an address or a flags word.
+_read_hex = _reader(lambda value, _arg: _hex_scalar(value), "")
+#: A byte string carried as plain hex (no 0x prefix, even digit count).
+_read_bytes = _reader(lambda value, _arg: _hex_bytes(value), b"")
 
 
 def _read_str_list(value, prefix: str, key: str, report: CleaningReport, _arg) -> list[str]:

@@ -8,7 +8,9 @@ Wire protocol (HTTP/1.1):
 Parse failures answer 400 with {"error": "LOG_PARSE"}; anything
 unexpected answers 500 with {"error": "INTERNAL"}; no request body can
 take the process down.  An ``X-Request-Id`` request header is echoed
-back so concurrent clients can pair responses.
+back so concurrent clients can pair responses, with each obs-fold (a line
+break and the spaces and tabs around it) replaced by one space, as RFC 9112
+5.2 asks of a server.
 
 Models are immutable after startup.  The audit trail is the only
 mutable shared state and is serialized through one lock.
@@ -19,6 +21,7 @@ import contextlib
 import hashlib
 import json
 import logging
+import re
 import selectors
 import signal
 import threading
@@ -40,6 +43,9 @@ logger = logging.getLogger(__name__)
 
 #: Requests larger than this are rejected without reading the body.
 _MAX_REQUEST_BYTES = DEFAULT_MAX_BYTES + 4096
+#: An obs-fold, the line folding of RFC 9112 5.2: OWS CRLF RWS (the parser
+#: also takes a bare LF as a line end).
+_OBS_FOLD_RE = re.compile(r"[ \t]*\r?\n[ \t]+")
 
 
 @dataclass
@@ -164,6 +170,10 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self.close_connection = True
 
+    def _request_id(self) -> str:
+        """The ``X-Request-Id`` header on one line: each obs-fold becomes one space."""
+        return _OBS_FOLD_RE.sub(" ", self.headers.get("X-Request-Id", ""))
+
     def _reply(self, status: int, payload: dict, close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
@@ -171,7 +181,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if close:  # the base class closes the connection after this header
             self.send_header("Connection", "close")
-        request_id = self.headers.get("X-Request-Id", "")
+        request_id = self._request_id()
         if request_id:
             self.send_header("X-Request-Id", request_id)
         self.end_headers()
@@ -212,9 +222,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(400, {"error": "LOG_PARSE", "detail": "bad request size"}, close=True)
                 return
             body = self.rfile.read(length)
-            request_id = self.headers.get("X-Request-Id", "")
             try:
-                result = self.server.service.detect(body, request_id)
+                result = self.server.service.detect(body, self._request_id())
             except LogParseError as exc:
                 self._reply(400, {"error": "LOG_PARSE", "detail": str(exc)})
                 return

@@ -7,8 +7,9 @@ single tokens; the two exceptions are byte strings, which split into
 4-byte hex words (all of them from one ``bytes.hex`` call), and command
 lines, which split on whitespace.  The stack snapshot, most of a large
 log's tokens, is kept as bytes in :class:`GroupedTokens`: its words are
-made as strings only when a group is read, and the vectorizer matches
-them against the vocabulary as integers instead.  Three value rules keep
+made as strings only when a group is read, and the vectorizer has the
+vocabulary match them as integers instead
+(:meth:`~memlog.embedding.Vocabulary.snapshot_ids`).  Three value rules keep
 the vocabulary dense:
 
 - text: lowercased, with each run of whitespace inside it turned into
@@ -76,8 +77,8 @@ class GroupedTokens:
             yield self.group(group_id)
 
     def total_tokens(self) -> int:
-        # the snapshot's words are counted, not made; only the last may be short
-        return sum(map(len, self.lists())) + -(-len(self.snapshot) // 4)
+        # the snapshot's words are counted, not made
+        return sum(map(len, self.lists())) + word_count(self.snapshot)
 
 
 def _text(raw: str) -> str:
@@ -99,6 +100,11 @@ def hex_words(data: bytes) -> list[str]:
     from the left, so only the last word can be short.
     """
     return data.hex(" ", -4).split()
+
+
+def word_count(data: bytes) -> int:
+    """``len(hex_words(data))``: a word per 4 bytes, and one for a short tail."""
+    return -(-len(data) // 4)
 
 
 def _pair(prefix: str, value: str) -> Optional[str]:

@@ -7,13 +7,10 @@ log vector.  Out-of-vocabulary tokens are skipped; a group with no
 usable tokens contributes a zero segment.  Coverage records, per group,
 the fraction of tokens found in the vocabulary.
 
-A stack snapshot's hex words are matched in one of two ways, with the
-same ids in the same order, so the mean keeps its bits.  A short one is
-split into strings looked up one by one.  From ``_INTEGER_ROUTE_MIN_BYTES``
-on, its full 4-byte words are read as big-endian ``uint32`` values and
-matched against the vocabulary's 8-digit hex tokens held as sorted
-integers (:meth:`~memlog.embedding.Vocabulary.hex_word_ids`); only a
-short tail word is looked up as a string.
+The stack group also pools the words of the stack snapshot, which
+:meth:`~memlog.embedding.Vocabulary.snapshot_ids` matches without making
+them as strings; its ids are those of the words looked up one by one, in
+the same order, so the mean keeps its bits.
 """
 from __future__ import annotations
 
@@ -22,20 +19,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .embedding import EMBEDDING_DIM, EmbeddingModel, Vocabulary
+from .embedding import EMBEDDING_DIM, EmbeddingModel
 from .errors import UnlabeledLog
 from .logmodel import CanonicalLog, Label
-from .tokenizer import GROUP_COUNT, GroupedTokens, GroupId, hex_words, tokenize
+from .tokenizer import GROUP_COUNT, GroupedTokens, GroupId, tokenize
 
 LOG_VECTOR_DIM = GROUP_COUNT * EMBEDDING_DIM
 
 #: Numeric label encoding used throughout training and evaluation.
 MALICIOUS, BENIGN = 1, 0
-
-#: Snapshots this long or longer are matched as integers.  Below it numpy's
-#: fixed cost (7-12 µs a snapshot) exceeds what the integer route saves on
-#: string lookups (2-3 µs per 100 bytes); measured on a 2-core x86-64 VM.
-_INTEGER_ROUTE_MIN_BYTES = 384
 
 
 @dataclass
@@ -51,30 +43,14 @@ class LogVector:
         )
 
 
-def _snapshot_ids(snapshot: bytes, vocab: Vocabulary) -> tuple[list[int], int]:
-    """The ids of the in-vocabulary words of ``hex_words(snapshot)``, in
-    word order, and the number of words."""
-    if len(snapshot) < _INTEGER_ROUTE_MIN_BYTES:
-        words = hex_words(snapshot)
-        return [vocab.index[t] for t in words if t in vocab.index], len(words)
-    full = len(snapshot) // 4
-    ids = vocab.hex_word_ids(np.frombuffer(snapshot, dtype=">u4", count=full).astype(np.uint32))
-    if tail := snapshot[4 * full:]:
-        if (tail_id := vocab.index.get(tail.hex())) is not None:
-            ids.append(tail_id)
-        full += 1
-    return ids, full
-
-
 def vectorize_log(tokens: GroupedTokens, model: EmbeddingModel) -> LogVector:
     values = np.zeros(GROUP_COUNT * model.dim, dtype=np.float32)
     coverage = np.zeros(GROUP_COUNT, dtype=np.float64)
-    index = model.vocab.index
     for group_id, group in enumerate(tokens.lists()):
-        ids = [index[t] for t in group if t in index]
+        ids = model.vocab.ids(group)
         count = len(group)
         if group_id == GroupId.STACK:
-            snapshot_ids, words = _snapshot_ids(tokens.snapshot, model.vocab)
+            snapshot_ids, words = model.vocab.snapshot_ids(tokens.snapshot)
             ids += snapshot_ids
             count += words
         if ids:

@@ -236,6 +236,22 @@ class TestRetries:
         make_agent(tmp_path, f"http://127.0.0.1:{port}", max_attempts=2).run()
         assert [p.name for p in (tmp_path / "failed").iterdir()] == ["one.json"]
 
+    def test_stop_during_backoff_returns_at_once_and_keeps_the_file(self, tmp_path):
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        seed_files(tmp_path, ["one.json"])
+        agent = Agent(AgentConfig(watch_dir=str(tmp_path), server_url=f"http://127.0.0.1:{port}",
+                                  max_attempts=3, backoff_base_ms=3000, drain=True))
+        threading.Timer(0.3, agent.stop).start()
+        start = time.monotonic()
+        agent.run()
+        assert time.monotonic() - start < 1.0
+        assert (tmp_path / "one.json").exists()
+        assert list((tmp_path / "failed").iterdir()) == []
+        assert agent.counts["gave_up"] == 0
+
     def test_failure_leaves_later_files_unaffected(self, stub, tmp_path):
         srv = stub(script=[400, 200])
         seed_files(tmp_path, ["a.json", "b.json"])

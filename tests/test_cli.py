@@ -75,16 +75,16 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-# Imports the CLI module, then numpy, and reports what OpenBLAS was told and
-# how many threads the process has once numpy is loaded.
+# Imports a memlog module (MODULE), then numpy, and reports what OpenBLAS was
+# told and how many threads the process has once numpy is loaded.
 OPENBLAS_CODE = """
 import json, os, sys
-import memlog.cli
-numpy_by_cli = "numpy" in sys.modules
+import MODULE
+numpy_by_import = "numpy" in sys.modules
 import numpy
 tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
 print(json.dumps({"value": os.environ.get("OPENBLAS_NUM_THREADS"),
-                  "numpy_by_cli": numpy_by_cli, "tasks": tasks}))
+                  "numpy_by_import": numpy_by_import, "tasks": tasks}))
 """
 
 
@@ -158,10 +158,10 @@ def workspace(tmp_path_factory):
 
 
 class TestOpenBlasDefault:
-    def imported(self, **preset):
+    def imported(self, module="memlog.cli", **preset):
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         env.update(preset)
-        result = subprocess.run([sys.executable, "-c", OPENBLAS_CODE],
+        result = subprocess.run([sys.executable, "-c", OPENBLAS_CODE.replace("MODULE", module)],
                                 capture_output=True, text=True, env=env, timeout=60)
         assert result.returncode == 0, result.stderr
         return json.loads(result.stdout)
@@ -169,7 +169,7 @@ class TestOpenBlasDefault:
     def test_openblas_gets_one_thread_and_no_worker(self):
         report = self.imported()
         assert report["value"] == "1"
-        assert not report["numpy_by_cli"]  # the agent stays stdlib-only
+        assert not report["numpy_by_import"]  # the agent stays stdlib-only
         if report["tasks"] is None:
             pytest.skip("no /proc/self/task to count threads in")
         assert report["tasks"] == 1
@@ -181,10 +181,22 @@ class TestOpenBlasDefault:
             pytest.skip("no /proc/self/task to count threads in")
         assert report["tasks"] == 1
 
+    def test_the_service_alone_gets_one_thread(self):
+        report = self.imported("memlog.service")
+        assert report["value"] == "1"
+        if report["tasks"] is None:
+            pytest.skip("no /proc/self/task to count threads in")
+        assert report["tasks"] == 1
+
+    def test_the_agent_alone_gets_the_default_without_numpy(self):
+        report = self.imported("memlog.agent")
+        assert report["value"] == "1"
+        assert not report["numpy_by_import"]
+
     def test_a_preset_value_is_kept(self):
         report = self.imported(OPENBLAS_NUM_THREADS="2")
         assert report["value"] == "2"
-        assert not report["numpy_by_cli"]
+        assert not report["numpy_by_import"]
 
 
 class TestParsing:

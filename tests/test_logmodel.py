@@ -212,6 +212,33 @@ class TestCleaningRules:
             "runtime.register_snippets.eip", "runtime.illegal_accesses[0].bytes",
         ]
 
+    @pytest.mark.parametrize("doc, path, read, empty, wrong", [
+        ('{"metadata":{"exe_name":%s}}', "metadata.exe_name",
+         lambda log: log.metadata.exe_name, "", "12"),
+        ('{"pe":{"signed":%s}}', "pe.signed", lambda log: log.pe.signed, False, "1"),
+        ('{"runtime":{"dep_enabled":%s}}', "runtime.dep_enabled",
+         lambda log: log.runtime.dep_enabled, False, '"true"'),
+        ('{"metadata":{"integrity_level":%s}}', "metadata.integrity_level",
+         lambda log: log.metadata.integrity_level, None, "3"),
+        ('{"runtime":{"parent_process":{"integrity_level":%s}}}',
+         "runtime.parent_process.integrity_level",
+         lambda log: log.runtime.parent_process.integrity_level, None, '["high"]'),
+        ('{"runtime":{"base_address":%s}}', "runtime.base_address",
+         lambda log: log.runtime.base_address, "", "4096"),
+        ('{"runtime":{"loaded_modules":[{"end":%s}]}}', "runtime.loaded_modules[0].end",
+         lambda log: log.runtime.loaded_modules[0].end, "", "true"),
+        ('{"runtime":{"stack_snapshot":%s}}', "runtime.stack_snapshot",
+         lambda log: log.runtime.stack_snapshot, b"", '{"hex":"00"}'),
+        ('{"runtime":{"illegal_accesses":[{"bytes":%s}]}}', "runtime.illegal_accesses[0].bytes",
+         lambda log: log.runtime.illegal_accesses[0].data, b"", "0.5"),
+    ])
+    def test_scalar_null_reads_empty_and_wrong_type_is_dropped(self, doc, path, read, empty, wrong):
+        log, report = parse_log((doc % "null").encode())
+        assert read(log) == empty and report == CleaningReport()
+        log, report = parse_log((doc % wrong).encode())
+        assert read(log) == empty and type(read(log)) is type(empty)
+        assert report == CleaningReport(dropped_fields=[path])
+
     def test_wrong_typed_list_dropped(self):
         log, report = parse_log(b'{"runtime":{"found_urls":"not-a-list"}}')
         assert log.runtime.found_urls == []

@@ -234,6 +234,26 @@ class TestHttp:
         assert status == 200
         assert headers.get("X-Request-Id") == "abc-123"
 
+    def test_folded_request_id_is_echoed_on_one_line(self, model_dir, sample_logs, tmp_path):
+        audit = tmp_path / "audit.jsonl"
+        service = load_detector(model_dir["embeddings"], model_dir["model"], audit_path=str(audit))
+        srv = make_server(service, "127.0.0.1", 0)
+        thread = threading.Thread(target=srv.serve_forever)
+        thread.start()
+        try:
+            data = raw_exchange(srv, b"POST /v1/detect HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+                                b"X-Request-Id: abc \r\n\tInjected: 1\r\nContent-Length: "
+                                + str(len(sample_logs[0])).encode() + b"\r\n\r\n" + sample_logs[0])
+        finally:
+            srv.shutdown()
+            srv.server_close()
+            thread.join(timeout=10)
+        status, headers, _ = only_response(data)
+        assert status == 200
+        assert headers["X-Request-Id"] == "abc Injected: 1"
+        assert not any(line[:1] in (b" ", b"\t") for line in data.split(b"\r\n\r\n")[0].split(b"\r\n"))
+        assert json.loads(audit.read_text())["request_id"] == "abc Injected: 1"
+
     def test_no_echo_without_request_id(self, server, sample_logs):
         status, headers, _ = http("POST", url_of(server, "/v1/detect"), body=sample_logs[0])
         assert status == 200

@@ -10,13 +10,7 @@ from memlog.embedding import EmbeddingModel, Vocabulary
 from memlog.errors import UnlabeledLog
 from memlog.logmodel import CanonicalLog, Label
 from memlog.tokenizer import GroupId, GroupedTokens, hex_words, tokenize
-from memlog.vectorizer import (
-    _INTEGER_ROUTE_MIN_BYTES,
-    LOG_VECTOR_DIM,
-    _snapshot_ids,
-    vectorize_corpus,
-    vectorize_log,
-)
+from memlog.vectorizer import LOG_VECTOR_DIM, vectorize_corpus, vectorize_log
 
 
 def toy_model(tokens: dict[str, np.ndarray]) -> EmbeddingModel:
@@ -96,16 +90,25 @@ class TestVectorizeLog:
 #: though ``int(token, 16)`` reads most of them.
 NOT_HEX_WORDS = ["DEADBEEF", "0x00abcd", "+0000001", " 000001f", "0000_001", "abcdefgh"]
 
+#: Where snapshots once switched from string lookups to integer matching.
+OLD_CUT_OVER = 384
+
+
+def string_ids(snapshot: bytes, vocab: Vocabulary) -> tuple[list[int], int]:
+    """The oracle: ``hex_words`` looked up one by one, and the word count."""
+    words = hex_words(snapshot)
+    return [vocab.index[w] for w in words if w in vocab.index], len(words)
+
 
 @st.composite
 def snapshot_cases(draw):
     """(vocabulary, snapshot, opcode tokens): the vocabulary holds some full
     hex words (maybe none), some short tail words and decoys; the snapshot's
     words all hit, all miss or mix, with a tail of 0-3 bytes and lengths on
-    both sides of the cut-over between the two routes."""
+    both sides of the old cut-over."""
     words = draw(st.lists(st.binary(min_size=4, max_size=4), max_size=12, unique=True))
     tails = draw(st.lists(st.binary(min_size=1, max_size=3), max_size=4, unique=True))
-    count = draw(st.integers(0, _INTEGER_ROUTE_MIN_BYTES // 4 * 2 + 2))
+    count = draw(st.integers(0, OLD_CUT_OVER // 4 * 2 + 2))
     mode = draw(st.sampled_from(["mixed", "all-hit", "no-hit"] if words else ["no-hit"]))
     if mode == "no-hit":
         chosen = [w for w in draw(st.lists(st.binary(min_size=4, max_size=4), min_size=count,
@@ -123,8 +126,9 @@ def snapshot_cases(draw):
 
 
 class TestSnapshotRoutes:
-    """The snapshot's words matched as integers give what ``hex_words`` plus
-    vocabulary lookups give, ids in order, so the pooled vector keeps its bits."""
+    """``Vocabulary.snapshot_ids``, which matches the snapshot's words as
+    integers, gives what ``hex_words`` plus vocabulary lookups give, ids in
+    order, at every length, so the pooled vector keeps its bits."""
 
     @given(snapshot_cases(), st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
@@ -133,13 +137,10 @@ class TestSnapshotRoutes:
         rng = np.random.default_rng(seed)
         vectors = rng.standard_normal((len(tokens), 32)).astype(np.float32)
         model = EmbeddingModel(Vocabulary(tokens, [1] * len(tokens)), vectors, vectors)
-        index = model.vocab.index
         words = hex_words(snapshot)
         grouped = GroupedTokens(stack=["frame", "zzz"], opcodes=opcodes, snapshot=snapshot)
         strings = GroupedTokens(stack=["frame", "zzz", *words], opcodes=opcodes)
-        assert _snapshot_ids(snapshot, model.vocab) == (
-            [index[w] for w in words if w in index], len(words),
-        )
+        assert model.vocab.snapshot_ids(snapshot) == string_ids(snapshot, model.vocab)
         assert grouped.group(GroupId.STACK) == strings.stack
         assert grouped.total_tokens() == strings.total_tokens()
         ours, theirs = vectorize_log(grouped, model), vectorize_log(strings, model)
@@ -147,20 +148,34 @@ class TestSnapshotRoutes:
         assert ours.coverage.tobytes() == theirs.coverage.tobytes()
 
     @pytest.mark.parametrize("length", [
-        0, 1, 2, 3, 4, 7, _INTEGER_ROUTE_MIN_BYTES - 1, _INTEGER_ROUTE_MIN_BYTES,
-        _INTEGER_ROUTE_MIN_BYTES + 1, _INTEGER_ROUTE_MIN_BYTES + 3, 4 * _INTEGER_ROUTE_MIN_BYTES,
+        *range(9), *range(OLD_CUT_OVER - 1, OLD_CUT_OVER + 4), 4 * OLD_CUT_OVER,
+        *(4 * OLD_CUT_OVER + tail for tail in (1, 2, 3)),
     ])
     def test_every_word_found_on_both_sides_of_the_cut_over(self, length):
         snapshot = bytes(range(256)) * (length // 256 + 1)
         snapshot = snapshot[:length]
         words = hex_words(snapshot)
         vocab = Vocabulary(list(dict.fromkeys(words)) + NOT_HEX_WORDS, [1] * (len(set(words)) + 6))
-        assert _snapshot_ids(snapshot, vocab) == ([vocab.index[w] for w in words], len(words))
+        assert vocab.snapshot_ids(snapshot) == ([vocab.index[w] for w in words], len(words))
 
     def test_vocabulary_without_hex_words(self):
         vocab = Vocabulary(["frame", *NOT_HEX_WORDS], [1] * 7)
-        snapshot = bytes.fromhex("deadbeef") * _INTEGER_ROUTE_MIN_BYTES + b"\x00"
-        assert _snapshot_ids(snapshot, vocab) == ([], _INTEGER_ROUTE_MIN_BYTES + 1)
+        for length in (0, 3, 4, 5, OLD_CUT_OVER - 1, OLD_CUT_OVER + 1, 4 * OLD_CUT_OVER + 1):
+            snapshot = (bytes.fromhex("deadbeef") * length)[:length]
+            assert vocab.snapshot_ids(snapshot) == string_ids(snapshot, vocab)
+            assert vocab.snapshot_ids(snapshot) == ([], -(-length // 4))
+
+    @pytest.mark.parametrize("length", [4, 7, 24, OLD_CUT_OVER - 1, OLD_CUT_OVER + 2])
+    def test_decoys_match_nothing(self, length):
+        """Words equal to the number a decoy reads as under ``int(token, 16)``
+        match only a real hex word, never the decoy."""
+        values = [int(t, 16) for t in NOT_HEX_WORDS if t != "abcdefgh"]
+        snapshot = (b"".join(v.to_bytes(4, "big") for v in values) * length)[:length]
+        vocab = Vocabulary(["frame", *NOT_HEX_WORDS], [1] * 7)
+        assert vocab.snapshot_ids(snapshot) == ([], -(-length // 4))
+        real = Vocabulary(["00000001", *NOT_HEX_WORDS], [1] * 7)
+        assert real.snapshot_ids(snapshot) == string_ids(snapshot, real)
+        assert real.snapshot_ids(snapshot)[0] == [0] * hex_words(snapshot).count("00000001")
 
 
 class TestVectorizeCorpus:
